@@ -27,7 +27,7 @@ use invidx_core::policy::Policy;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::{doc, CorpusGenerator, CorpusParams};
 use invidx_disk::sparse_array;
-use invidx_ir::{Bm25Params, Hit, SearchEngine};
+use invidx_ir::{Bm25Params, EngineQuery, Hit, SearchEngine};
 use invidx_obs::names;
 use invidx_sim::TextTable;
 use rand::rngs::StdRng;
@@ -126,8 +126,13 @@ fn main() {
             let (engine, raw, stored) = build(codec, budget);
             engine.index().array().take_trace(); // drop the build trace
             engine.index().array().start_trace();
-            let answers: Vec<Vec<(u32, u64)>> =
-                stream.iter().map(|q| bits(&engine.rank(q, TOP_K, params).expect("rank"))).collect();
+            let answers: Vec<Vec<(u32, u64)>> = stream
+                .iter()
+                .map(|q| {
+                    let query = EngineQuery::Rank { text: q.clone(), k: TOP_K, params };
+                    bits(engine.execute(&query).expect("rank").hits().expect("hits output"))
+                })
+                .collect();
             let trace = engine.index().array().take_trace();
             let device_reads = trace.ops.len() as u64;
             let device_blocks: u64 = trace.ops.iter().map(|o| o.blocks).sum();

@@ -31,7 +31,7 @@ use invidx_core::index::IndexConfig;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::zipf::ZipfTable;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::{Bm25Params, SearchEngine};
 use invidx_serve::{
     parse_response, Payload, QueryService, Request, ServeConfig, Server,
 };
@@ -99,12 +99,9 @@ fn make_queries(s: &Scale, zipf: &ZipfTable, rng: &mut StdRng) -> Vec<Request> {
 }
 
 fn run_oracle_request(engine: &SearchEngine, req: &Request) -> Vec<u32> {
-    let list = match req {
-        Request::Boolean(q) => engine.boolean_str(q).expect("oracle boolean"),
-        Request::Near(w1, w2, win) => engine.within(w1, w2, *win).expect("oracle near"),
-        other => panic!("not in the oracle mix: {other:?}"),
-    };
-    list.docs().iter().map(|d| d.0).collect()
+    let query = req.engine_query(Bm25Params::default()).expect("an engine query");
+    let out = engine.execute(&query).expect("oracle query");
+    out.docs().expect("not in the oracle mix").docs().iter().map(|d| d.0).collect()
 }
 
 /// `oracle[epoch][wire-form] = expected docs` from a single-threaded replay.

@@ -502,18 +502,6 @@ impl DualIndex {
         &self.array
     }
 
-    /// Mutable disk array access.
-    #[deprecated(
-        since = "0.5.0",
-        note = "trace control is available through `array()` (it takes `&self`); mutation \
-                goes through the purpose-named methods (`set_defer_frees`, \
-                `release_deferred_frees`, `flush_devices`, `reserve_extent`, \
-                `sidecar_array`)"
-    )]
-    pub fn array_mut(&mut self) -> &mut DiskArray {
-        &mut self.array
-    }
-
     /// Quarantine freed extents instead of returning them to the
     /// allocators ([`DiskArray::defer_frees`]). Durable (WAL) mode runs
     /// with the quarantine on so replay can still read chunks the last
@@ -972,8 +960,7 @@ impl DualIndex {
     /// in-memory postings, filtered through the deleted-document list.
     ///
     /// `&self`: long-list reads and trace recording both go through shared
-    /// interfaces, so concurrent queries (e.g. via
-    /// [`crate::SharedIndex`]'s read lock) never serialize on the index.
+    /// interfaces, so concurrent queries never serialize on the index.
     pub fn postings(&self, word: WordId) -> Result<PostingList> {
         let mut list = if self.longs.contains(word) {
             self.longs.read_list(&self.array, self.query_cache(), word)?

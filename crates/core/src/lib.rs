@@ -40,7 +40,7 @@
 //!   disk array (CLOCK eviction, pinning, write-through invalidation);
 //! * [`index`] — [`index::DualIndex`]: updates, queries, deletion
 //!   (filter + sweep), shadow-paged flush, and crash recovery;
-//! * [`concurrent`] — a thread-safe wrapper allowing concurrent readers.
+//! * [`epoch`] — the batch-epoch counter the serving layer names snapshots by.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -48,8 +48,8 @@
 pub mod bucket;
 pub mod cache;
 pub mod codec;
-pub mod concurrent;
 pub mod directory;
+pub mod epoch;
 pub mod index;
 pub mod longlist;
 pub mod memindex;
@@ -61,8 +61,8 @@ pub mod types;
 pub use bucket::{Bucket, BucketStore, InsertOutcome};
 pub use cache::{BlockCache, CacheStats, PinGuard};
 pub use codec::PostingsCodec;
-pub use concurrent::{EpochCounter, SharedIndex};
 pub use directory::{ChunkRef, Directory, LongEntry};
+pub use epoch::EpochCounter;
 pub use index::{
     BatchReport, CompactReport, DualIndex, EngineKind, IndexConfig, IndexSnapshot,
     RebalanceReport, SweepReport, WordLocation,

@@ -41,8 +41,8 @@ pub struct Disk {
 /// The trace sink lives behind a mutex so that *read* operations only need
 /// `&self`: queries through [`crate::BlockDevice::read`] are naturally
 /// shareable, and the trace append is the only mutation on that path.
-/// Concurrent readers (e.g. `invidx_core`'s `SharedIndex`) therefore run
-/// under a shared lock, contending only on the short trace push.
+/// Concurrent readers therefore share the array, contending only on the
+/// short trace push.
 pub struct DiskArray {
     disks: Vec<Disk>,
     cursor: usize,

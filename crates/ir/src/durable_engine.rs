@@ -20,9 +20,9 @@
 //! document extents before any replay, and [`RecoveryHooks::before_apply`]
 //! redoes a batch's document appends before its index postings land.
 
-use crate::boolean::{PostingSource, Query};
-use crate::engine::{EngineCore, QueryIndex};
-use crate::vector::{search, Hit, VectorQuery};
+use crate::boolean::PostingSource;
+use crate::engine::{EngineCore, LiveReader};
+use crate::query::{EngineQuery, QueryOutput};
 use invidx_core::index::{
     BatchReport, CompactReport, DualIndex, EngineKind, IndexConfig, RebalanceReport, SweepReport,
 };
@@ -38,7 +38,7 @@ use std::path::Path;
 /// The crash-safe store behind a [`DurableEngine`]: a [`DurableIndex`]
 /// alone (in-place engine), or a [`DurableSegmentedIndex`] that layers
 /// sealed segments, a manifest, and compaction over it.
-pub enum DurableBackend {
+pub(crate) enum DurableBackend {
     /// WAL + checkpoint over the in-place dual-structure index.
     InPlace(DurableIndex),
     /// The same durable L0 plus the segment tier.
@@ -47,7 +47,7 @@ pub enum DurableBackend {
 
 impl DurableBackend {
     /// The durable L0 store (the whole store when in-place).
-    pub fn l0(&self) -> &DurableIndex {
+    fn l0(&self) -> &DurableIndex {
         match self {
             DurableBackend::InPlace(ix) => ix,
             DurableBackend::Segmented(ix) => ix.l0(),
@@ -66,7 +66,7 @@ impl DurableBackend {
     }
 
     /// Segment-tier statistics, when this backend is segmented.
-    pub fn segment_stats(&self) -> Option<SegmentStats> {
+    fn segment_stats(&self) -> Option<SegmentStats> {
         match self {
             DurableBackend::InPlace(_) => None,
             DurableBackend::Segmented(ix) => Some(ix.stats()),
@@ -162,12 +162,6 @@ impl PostingSource for DurableBackend {
     }
 }
 
-impl QueryIndex for DurableBackend {
-    fn array(&self) -> &invidx_disk::DiskArray {
-        self.inner().array()
-    }
-}
-
 /// Per-batch WAL metadata: the documents added since the last flush, as
 /// `u32 count`, then per document `u32 id | u32 len | utf8 text`.
 fn encode_batch_meta(docs: &[(DocId, String)]) -> Vec<u8> {
@@ -259,7 +253,7 @@ impl RecoveryHooks for EngineHooks {
 /// ```
 /// use invidx_core::index::IndexConfig;
 /// use invidx_durable::{DurableOptions, StoreGeometry};
-/// use invidx_ir::DurableEngine;
+/// use invidx_ir::{DurableEngine, EngineQuery};
 ///
 /// let dir = std::env::temp_dir().join(format!("invidx-deng-doc-{}", std::process::id()));
 /// std::fs::remove_dir_all(&dir).ok();
@@ -272,7 +266,8 @@ impl RecoveryHooks for EngineHooks {
 /// // Reopen = recover: checkpoint + WAL replay restore everything.
 /// let mut e = DurableEngine::open(&dir, IndexConfig::small(),
 ///                                 DurableOptions::default()).unwrap();
-/// assert_eq!(e.boolean_str("cat").unwrap().len(), 1);
+/// let cats = e.execute(&EngineQuery::boolean("cat")).unwrap();
+/// assert_eq!(cats.docs().unwrap().len(), 1);
 /// std::fs::remove_dir_all(&dir).ok();
 /// ```
 pub struct DurableEngine {
@@ -442,7 +437,8 @@ impl DurableEngine {
         &mut self,
         prev: Option<&crate::EngineSnapshot>,
     ) -> invidx_core::Result<crate::EngineSnapshot> {
-        crate::snapshot::materialize(&mut self.core, &self.backend, prev)
+        let array = self.backend.inner().array();
+        crate::snapshot::materialize(&mut self.core, &self.backend, array, prev)
     }
 
     /// Write a checkpoint now (embedding current engine metadata) and reset
@@ -452,79 +448,7 @@ impl DurableEngine {
         self.backend.checkpoint()
     }
 
-    // ----- queries (same surface as `SearchEngine`) -----
-
-    /// Evaluate a boolean [`Query`]. `&self`, like every query method:
-    /// the serving layer runs these concurrently under a read lock.
-    pub fn boolean(&self, query: &Query) -> invidx_core::Result<PostingList> {
-        query.eval(&self.backend)
-    }
-
-    /// Parse and evaluate a boolean query string.
-    pub fn boolean_str(&self, query: &str) -> invidx_core::Result<PostingList> {
-        let q = self.core.parse_query(query)?;
-        self.boolean(&q)
-    }
-
-    /// Parse a boolean query string into a [`Query`].
-    pub fn parse_query(&self, text: &str) -> invidx_core::Result<Query> {
-        self.core.parse_query(text)
-    }
-
-    /// Vector-space search with an explicit query.
-    pub fn vector(&self, query: &VectorQuery, k: usize) -> invidx_core::Result<Vec<Hit>> {
-        search(&self.backend, query, self.core.total_docs, k)
-    }
-
-    /// Proximity query: both words within `window` positions of each other.
-    pub fn within(&self, w1: &str, w2: &str, window: u32) -> invidx_core::Result<PostingList> {
-        self.core.within(&self.backend, w1, w2, window)
-    }
-
-    /// Phrase query: the words occur contiguously, in order.
-    pub fn phrase(&self, phrase: &str) -> invidx_core::Result<PostingList> {
-        self.core.phrase(&self.backend, phrase)
-    }
-
-    /// Vector-space search using a document text as the query.
-    pub fn more_like_this(&self, text: &str, k: usize) -> invidx_core::Result<Vec<Hit>> {
-        self.core.more_like_this(&self.backend, text, k)
-    }
-
-    /// Document frequency per term (0 for unknown words) — the DF phase of
-    /// the router's distributed LIKE.
-    pub fn term_dfs(&self, terms: &[String]) -> invidx_core::Result<Vec<u64>> {
-        self.core.term_dfs(&self.backend, terms)
-    }
-
-    /// Top-k scoring with caller-supplied per-term contributions (the
-    /// router's WLIKE phase); accumulation runs in slice order.
-    pub fn weighted_like(&self, terms: &[(String, f64)], k: usize) -> invidx_core::Result<Vec<Hit>> {
-        self.core.weighted_like(&self.backend, terms, k)
-    }
-
-    /// BM25 ranked top-k using a document text as the query, with WAND
-    /// early termination (bit-exact with the exhaustive oracle).
-    pub fn rank(
-        &self,
-        text: &str,
-        k: usize,
-        params: crate::rank::Bm25Params,
-    ) -> invidx_core::Result<Vec<Hit>> {
-        self.core.rank(&self.backend, text, k, params)
-    }
-
-    /// BM25 ranked top-k with caller-supplied idf weights and avgdl (the
-    /// router's distributed RANK phase).
-    pub fn weighted_rank(
-        &self,
-        terms: &[(String, f64)],
-        k: usize,
-        params: crate::rank::Bm25Params,
-        avgdl: f64,
-    ) -> invidx_core::Result<Vec<Hit>> {
-        self.core.weighted_rank(&self.backend, terms, k, params, avgdl)
-    }
+    // ----- queries -----
 
     /// Total lexer tokens across all added documents (BM25 avgdl
     /// numerator).
@@ -532,10 +456,11 @@ impl DurableEngine {
         self.core.total_tokens
     }
 
-    /// Evaluate a typed [`crate::EngineQuery`] — the unified query
-    /// surface shared by every engine and the serving layer.
-    pub fn execute(&self, query: &crate::EngineQuery) -> invidx_core::Result<crate::QueryOutput> {
-        crate::query::execute_with(&self.core, &self.backend, query)
+    /// Evaluate a typed [`EngineQuery`] — the only read entry point,
+    /// shared with [`crate::SearchEngine`] and [`crate::EngineSnapshot`].
+    pub fn execute(&self, query: &EngineQuery) -> invidx_core::Result<QueryOutput> {
+        let array = self.backend.inner().array();
+        crate::query::execute(&LiveReader { core: &self.core, source: &self.backend, array }, query)
     }
 
     // ----- replication -----
@@ -624,11 +549,6 @@ impl DurableEngine {
         self.backend.l0()
     }
 
-    /// The backend behind this engine.
-    pub fn backend(&self) -> &DurableBackend {
-        &self.backend
-    }
-
     /// The segment-tiered store, when running the segmented engine.
     pub fn segmented(&self) -> Option<&DurableSegmentedIndex> {
         match &self.backend {
@@ -693,6 +613,11 @@ mod tests {
         StoreGeometry { disks: 2, blocks_per_disk: 20_000, block_size: 256 }
     }
 
+    /// Documents matching a boolean query string.
+    fn hits(e: &DurableEngine, query: &str) -> Vec<DocId> {
+        e.execute(&EngineQuery::boolean(query)).unwrap().docs().unwrap().docs().to_vec()
+    }
+
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("invidx-deng-{}-{name}", std::process::id()));
@@ -732,14 +657,15 @@ mod tests {
         assert_eq!(e.recovery().unwrap().replayed_records, 2);
         assert_eq!(e.total_docs(), 3);
         assert_eq!(e.vocabulary_size(), vocab);
-        assert_eq!(e.boolean_str("cat and dog").unwrap().len(), 1);
+        assert_eq!(hits(&e, "cat and dog").len(), 1);
         assert_eq!(e.document(DocId(1)).unwrap().unwrap(), "the cat sat on the mat");
-        assert_eq!(e.within("mouse", "dog", 10).unwrap().len(), 1);
+        let near = e.execute(&EngineQuery::near("mouse", "dog", 10)).unwrap();
+        assert_eq!(near.docs().unwrap().len(), 1);
         // The engine keeps working after recovery with stable ids.
         let d4 = e.add_document("another cat arrives").unwrap();
         assert_eq!(d4, DocId(4));
         e.flush().unwrap();
-        assert_eq!(e.boolean_str("cat").unwrap().len(), 3);
+        assert_eq!(hits(&e, "cat").len(), 3);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -758,7 +684,7 @@ mod tests {
         let e = DurableEngine::open(&dir, IndexConfig::small(), opts).unwrap();
         assert_eq!(e.recovery().unwrap().replayed_records, 0);
         assert_eq!(e.total_docs(), 2);
-        assert_eq!(e.boolean_str("beta and gamma").unwrap().len(), 2);
+        assert_eq!(hits(&e, "beta and gamma").len(), 2);
         assert_eq!(e.document(DocId(2)).unwrap().unwrap(), "beta gamma delta words");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -787,16 +713,13 @@ mod tests {
         assert_eq!(replica.total_docs(), primary.total_docs());
         assert_eq!(replica.vocabulary_size(), primary.vocabulary_size());
         for q in ["cat", "dog and mouse", "cat and not dog"] {
-            assert_eq!(
-                replica.boolean_str(q).unwrap().docs(),
-                primary.boolean_str(q).unwrap().docs(),
-                "{q}"
-            );
+            assert_eq!(hits(&replica, q), hits(&primary, q), "{q}");
         }
-        let (ph, rh) =
-            (primary.more_like_this("cat dog", 5).unwrap(), replica.more_like_this("cat dog", 5).unwrap());
+        let like = EngineQuery::like("cat dog", 5);
+        let (ph, rh) = (primary.execute(&like).unwrap(), replica.execute(&like).unwrap());
+        let (ph, rh) = (ph.hits().unwrap(), rh.hits().unwrap());
         assert_eq!(ph.len(), rh.len());
-        for (a, b) in ph.iter().zip(&rh) {
+        for (a, b) in ph.iter().zip(rh) {
             assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
         }
 
@@ -811,10 +734,7 @@ mod tests {
             replica.apply_replicated(&rec).unwrap();
         }
         assert_eq!(replica.index().batches(), primary.index().batches());
-        assert_eq!(
-            replica.boolean_str("cat").unwrap().docs(),
-            primary.boolean_str("cat").unwrap().docs()
-        );
+        assert_eq!(hits(&replica, "cat"), hits(&primary, "cat"));
 
         // Gap and divergence detection: replaying an old record is refused.
         let stale = primary.wal_records_from(0).unwrap();
@@ -833,11 +753,11 @@ mod tests {
         e.flush().unwrap();
         e.delete(d1);
         e.sweep().unwrap();
-        assert_eq!(e.boolean_str("shared").unwrap().len(), 1);
+        assert_eq!(hits(&e, "shared").len(), 1);
         drop(e);
 
         let e = DurableEngine::open(&dir, IndexConfig::small(), opts).unwrap();
-        assert_eq!(e.boolean_str("shared").unwrap().len(), 1);
+        assert_eq!(hits(&e, "shared").len(), 1);
         assert_eq!(e.index().inner().pending_deletions(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -15,7 +15,9 @@
 use crate::boolean::{PostingSource, Query};
 use crate::docstore::DocStore;
 use crate::proximity;
-use crate::vector::{search, Hit, VectorQuery};
+use crate::query::{EngineQuery, QueryOutput, ReadContext};
+use crate::rank::Bm25Params;
+use crate::vector::Hit;
 use invidx_core::index::{BatchReport, DualIndex, EngineKind, IndexConfig, SweepReport};
 use invidx_core::postings::PostingList;
 use invidx_core::types::{DocId, IndexError, Result, WordId};
@@ -23,22 +25,6 @@ use invidx_corpus::lexer;
 use invidx_disk::DiskArray;
 use invidx_segment::{SegmentStats, SegmentedIndex};
 use std::collections::{HashMap, HashSet};
-
-/// A queryable index backend: posting lists plus the disk array the
-/// document store lives on. Everything the query evaluators need,
-/// satisfied by the in-place [`DualIndex`], the segment-tiered
-/// [`SegmentedIndex`], and the engines' own backend enums — so boolean,
-/// proximity, phrase, and vector search run unchanged over any engine.
-pub trait QueryIndex: PostingSource {
-    /// The disk array shared by the index and the document store.
-    fn array(&self) -> &DiskArray;
-}
-
-impl QueryIndex for DualIndex {
-    fn array(&self) -> &DiskArray {
-        DualIndex::array(self)
-    }
-}
 
 impl PostingSource for SegmentedIndex {
     fn postings(&self, word: WordId) -> Result<PostingList> {
@@ -49,16 +35,10 @@ impl PostingSource for SegmentedIndex {
     }
 }
 
-impl QueryIndex for SegmentedIndex {
-    fn array(&self) -> &DiskArray {
-        SegmentedIndex::array(self)
-    }
-}
-
 /// The index behind a [`SearchEngine`]: the paper's mutable in-place
 /// store, or the segment-tiered store with that same structure demoted
 /// to L0. Selected by [`IndexConfig::engine`] at creation.
-pub enum Backend {
+pub(crate) enum Backend {
     /// Update-in-place dual-structure index (the paper's design).
     InPlace(DualIndex),
     /// L0 dual-structure index plus immutable sealed segments.
@@ -76,8 +56,8 @@ impl Backend {
     }
 
     /// The dual-structure index: the whole store in-place, L0 when
-    /// segmented.
-    pub fn dual(&self) -> &DualIndex {
+    /// segmented. Its disk array is the one the document store shares.
+    fn dual(&self) -> &DualIndex {
         match self {
             Backend::InPlace(ix) => ix,
             Backend::Segmented(ix) => ix.l0(),
@@ -92,7 +72,7 @@ impl Backend {
     }
 
     /// Segment-tier statistics, when this backend is segmented.
-    pub fn segment_stats(&self) -> Option<SegmentStats> {
+    fn segment_stats(&self) -> Option<SegmentStats> {
         match self {
             Backend::InPlace(_) => None,
             Backend::Segmented(ix) => Some(ix.stats()),
@@ -149,18 +129,8 @@ impl PostingSource for Backend {
     }
 }
 
-impl QueryIndex for Backend {
-    fn array(&self) -> &DiskArray {
-        match self {
-            Backend::InPlace(ix) => DualIndex::array(ix),
-            Backend::Segmented(ix) => SegmentedIndex::array(ix),
-        }
-    }
-}
-
 /// Engine state beyond the index itself: stored documents, the word
-/// interner, and the id counters. Query evaluation lives here too, so the
-/// plain and durable engines share one implementation.
+/// interner, and the id counters, shared by the plain and durable engines.
 pub(crate) struct EngineCore {
     pub(crate) docs: DocStore,
     pub(crate) vocab: HashMap<String, WordId>,
@@ -358,176 +328,41 @@ impl EngineCore {
             dirty_all: true,
         })
     }
+}
 
-    /// Parse a boolean query string into a [`Query`]. Unknown words become
-    /// empty-list terms (word id 0 is never interned, so they match
-    /// nothing).
-    pub(crate) fn parse_query(&self, text: &str) -> Result<Query> {
-        parse_query_with(&self.vocab, text)
+/// What a live engine lends the evaluator for one query: its core, its
+/// index, and the disk array the stored texts are read from.
+pub(crate) struct LiveReader<'a, S> {
+    pub(crate) core: &'a EngineCore,
+    pub(crate) source: &'a S,
+    pub(crate) array: &'a DiskArray,
+}
+
+impl<S: PostingSource> PostingSource for LiveReader<'_, S> {
+    fn postings(&self, word: WordId) -> Result<PostingList> {
+        self.source.postings(word)
+    }
+}
+
+impl<S: PostingSource> ReadContext for LiveReader<'_, S> {
+    fn vocab(&self) -> &HashMap<String, WordId> {
+        &self.core.vocab
     }
 
-    /// Proximity query (paper §1): inverted lists prune to the documents
-    /// containing both words; the stored text verifies the positional
-    /// window.
-    pub(crate) fn within<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        w1: &str,
-        w2: &str,
-        window: u32,
-    ) -> Result<PostingList> {
-        let (Some(a), Some(b)) = (self.word_id(w1), self.word_id(w2)) else {
-            return Ok(PostingList::new());
-        };
-        let candidates = Query::and(Query::Word(a), Query::Word(b)).eval(index)?;
-        filter_within(&candidates, |doc| self.docs.load(index.array(), doc), w1, w2, window)
+    fn doc_lengths(&self) -> &HashMap<DocId, u32> {
+        &self.core.doc_lengths
     }
 
-    /// Phrase query: the words of `phrase` occur contiguously, in order.
-    pub(crate) fn phrase<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        phrase: &str,
-    ) -> Result<PostingList> {
-        let words: Vec<String> = lexer::tokenize_document(phrase);
-        if words.is_empty() {
-            return Ok(PostingList::new());
-        }
-        // Prune: AND over all words (unknown word => empty result).
-        let mut ids = Vec::with_capacity(words.len());
-        for w in &words {
-            match self.vocab.get(w) {
-                Some(&id) => ids.push(Query::Word(id)),
-                None => return Ok(PostingList::new()),
-            }
-        }
-        let candidates = Query::And(ids).eval(index)?;
-        filter_phrase(&candidates, |doc| self.docs.load(index.array(), doc), &words)
+    fn total_docs(&self) -> u64 {
+        self.core.total_docs
     }
 
-    /// Vector-space search using a document text as the query (the paper's
-    /// "a query may be derived from a document" — §5.2.1).
-    ///
-    /// Terms are evaluated in the lexer's canonical (sorted, deduplicated)
-    /// order via [`crate::vector::search_like`], so scores are bit-exact
-    /// across runs and across deployments — an unsharded engine and a
-    /// sharded router computing the same global weights produce identical
-    /// f64 scores for every document.
-    pub(crate) fn more_like_this<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        text: &str,
-        k: usize,
-    ) -> Result<Vec<Hit>> {
-        let words: Vec<WordId> = lexer::document_words(text)
-            .iter()
-            .filter_map(|w| self.vocab.get(w).copied())
-            .collect();
-        crate::vector::search_like(index, &words, self.total_docs, k)
+    fn total_tokens(&self) -> u64 {
+        self.core.total_tokens
     }
 
-    /// Document frequency of each query term, for the router's two-phase
-    /// distributed LIKE: `(term, df)` per requested term (0 for unknown
-    /// words), plus this engine's document count. Uses the same
-    /// deletion-filtered posting lists that scoring reads, so a router
-    /// summing shard dfs computes exactly the idf an unsharded engine
-    /// would.
-    pub(crate) fn term_dfs<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        terms: &[String],
-    ) -> Result<Vec<u64>> {
-        terms
-            .iter()
-            .map(|t| match self.word_id(t) {
-                Some(w) => Ok(index.postings(w)?.len() as u64),
-                None => Ok(0),
-            })
-            .collect()
-    }
-
-    /// Top-k scoring with caller-supplied per-term contributions, in slice
-    /// order (the router ships corpus-global idf weights in canonical
-    /// sorted-term order). Unknown words are skipped — they have no local
-    /// postings, so they contribute nothing anyway.
-    pub(crate) fn weighted_like<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        terms: &[(String, f64)],
-        k: usize,
-    ) -> Result<Vec<Hit>> {
-        let seeded: Vec<(WordId, f64)> = terms
-            .iter()
-            .filter_map(|(t, w)| self.word_id(t).map(|id| (id, *w)))
-            .collect();
-        crate::vector::search_seeded(index, &seeded, k)
-    }
-
-    /// BM25 ranked top-k using a document text as the query. Terms run
-    /// in the lexer's canonical order; evaluation is WAND-pruned and
-    /// bit-exact with the exhaustive oracle.
-    pub(crate) fn rank<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        text: &str,
-        k: usize,
-        params: crate::rank::Bm25Params,
-    ) -> Result<Vec<Hit>> {
-        let words: Vec<WordId> = lexer::document_words(text)
-            .iter()
-            .filter_map(|w| self.vocab.get(w).copied())
-            .collect();
-        crate::rank::rank_like(
-            index,
-            &words,
-            self.total_docs,
-            &self.doc_lengths,
-            self.avgdl(),
-            params,
-            k,
-        )
-    }
-
-    /// The brute-force counterpart of [`Self::rank`]: no early
-    /// termination. Kept for tests and the ablation gate.
-    pub(crate) fn rank_exhaustive<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        text: &str,
-        k: usize,
-        params: crate::rank::Bm25Params,
-    ) -> Result<Vec<Hit>> {
-        let words: Vec<WordId> = lexer::document_words(text)
-            .iter()
-            .filter_map(|w| self.vocab.get(w).copied())
-            .collect();
-        crate::rank::rank_like_exhaustive(
-            index,
-            &words,
-            self.total_docs,
-            &self.doc_lengths,
-            self.avgdl(),
-            params,
-            k,
-        )
-    }
-
-    /// BM25 ranked top-k with caller-supplied idf weights and a
-    /// caller-supplied (corpus-global) avgdl — the router's distributed
-    /// RANK phase. Accumulation runs in slice order.
-    pub(crate) fn weighted_rank<S: QueryIndex + ?Sized>(
-        &self,
-        index: &S,
-        terms: &[(String, f64)],
-        k: usize,
-        params: crate::rank::Bm25Params,
-        avgdl: f64,
-    ) -> Result<Vec<Hit>> {
-        let seeded: Vec<(WordId, f64)> = terms
-            .iter()
-            .filter_map(|(t, w)| self.word_id(t).map(|id| (id, *w)))
-            .collect();
-        crate::rank::rank_seeded(index, &seeded, &self.doc_lengths, avgdl, params, k)
+    fn load_text(&self, doc: DocId) -> Result<Option<String>> {
+        self.core.docs.load(self.array, doc)
     }
 }
 
@@ -540,15 +375,17 @@ impl EngineCore {
 /// ```
 /// use invidx_core::index::IndexConfig;
 /// use invidx_disk::sparse_array;
-/// use invidx_ir::SearchEngine;
+/// use invidx_ir::{EngineQuery, SearchEngine};
 ///
 /// let array = sparse_array(2, 50_000, 256);
 /// let mut engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
 /// engine.add_document("the cat sat on the mat").unwrap();
 /// engine.add_document("the dog chased the cat").unwrap();
 /// engine.flush().unwrap();
-/// assert_eq!(engine.boolean_str("cat and dog").unwrap().len(), 1);
-/// assert_eq!(engine.within("dog", "cat", 3).unwrap().len(), 1);
+/// let both = engine.execute(&EngineQuery::boolean("cat and dog")).unwrap();
+/// assert_eq!(both.docs().unwrap().len(), 1);
+/// let near = engine.execute(&EngineQuery::near("dog", "cat", 3)).unwrap();
+/// assert_eq!(near.docs().unwrap().len(), 1);
 /// ```
 pub struct SearchEngine {
     backend: Backend,
@@ -606,16 +443,6 @@ impl SearchEngine {
     /// Mutable access to the dual-structure index (see [`Self::index`]).
     pub fn index_mut(&mut self) -> &mut DualIndex {
         self.backend.dual_mut()
-    }
-
-    /// The backend behind this engine.
-    pub fn backend(&self) -> &Backend {
-        &self.backend
-    }
-
-    /// Mutable backend access (compaction rate control, forced seals).
-    pub fn backend_mut(&mut self) -> &mut Backend {
-        &mut self.backend
     }
 
     /// Segment-tier statistics, when running the segmented engine.
@@ -691,7 +518,7 @@ impl SearchEngine {
 
     /// The stored text of a document.
     pub fn document(&self, doc: DocId) -> Result<Option<String>> {
-        self.core.docs.load(self.backend.array(), doc)
+        self.core.docs.load(self.backend.dual().array(), doc)
     }
 
     /// Flush the current batch to disk. On the segmented engine this
@@ -719,93 +546,8 @@ impl SearchEngine {
     /// lock-free serving read path. Pass the previous snapshot to reuse
     /// unchanged posting lists and texts (only dirty words are re-read).
     pub fn snapshot(&mut self, prev: Option<&crate::EngineSnapshot>) -> Result<crate::EngineSnapshot> {
-        crate::snapshot::materialize(&mut self.core, &self.backend, prev)
-    }
-
-    /// Evaluate a boolean [`Query`]. `&self`: queries share the engine,
-    /// so a serving layer can fan them out across threads under one read
-    /// lock while a single writer ingests.
-    pub fn boolean(&self, query: &Query) -> Result<PostingList> {
-        query.eval(&self.backend)
-    }
-
-    /// Parse and evaluate a boolean query string, e.g.
-    /// `"(cat and dog) or mouse"`.
-    pub fn boolean_str(&self, query: &str) -> Result<PostingList> {
-        let q = self.parse_query(query)?;
-        self.boolean(&q)
-    }
-
-    /// Parse a boolean query string into a [`Query`]. Unknown words become
-    /// empty-list terms (word id 0 is never interned, so they match
-    /// nothing).
-    pub fn parse_query(&self, text: &str) -> Result<Query> {
-        self.core.parse_query(text)
-    }
-
-    /// Vector-space search with an explicit query.
-    pub fn vector(&self, query: &VectorQuery, k: usize) -> Result<Vec<Hit>> {
-        search(&self.backend, query, self.core.total_docs, k)
-    }
-
-    /// Proximity query (paper §1: "requiring that 'cat' and 'dog' occur
-    /// within so many words of each other"): inverted lists prune to the
-    /// documents containing both words; the stored text verifies the
-    /// positional window.
-    pub fn within(&self, w1: &str, w2: &str, window: u32) -> Result<PostingList> {
-        self.core.within(&self.backend, w1, w2, window)
-    }
-
-    /// Phrase query: the words of `phrase` occur contiguously, in order.
-    pub fn phrase(&self, phrase: &str) -> Result<PostingList> {
-        self.core.phrase(&self.backend, phrase)
-    }
-
-    /// Vector-space search using a document text as the query (the paper's
-    /// "a query may be derived from a document" — §5.2.1).
-    pub fn more_like_this(&self, text: &str, k: usize) -> Result<Vec<Hit>> {
-        self.core.more_like_this(&self.backend, text, k)
-    }
-
-    /// Document frequency per term (0 for unknown words) — the DF phase of
-    /// the router's distributed LIKE.
-    pub fn term_dfs(&self, terms: &[String]) -> Result<Vec<u64>> {
-        self.core.term_dfs(&self.backend, terms)
-    }
-
-    /// Top-k scoring with caller-supplied per-term contributions (the
-    /// router's WLIKE phase); accumulation runs in slice order.
-    pub fn weighted_like(&self, terms: &[(String, f64)], k: usize) -> Result<Vec<Hit>> {
-        self.core.weighted_like(&self.backend, terms, k)
-    }
-
-    /// BM25 ranked top-k using a document text as the query, with WAND
-    /// early termination (bit-exact with the exhaustive oracle).
-    pub fn rank(&self, text: &str, k: usize, params: crate::rank::Bm25Params) -> Result<Vec<Hit>> {
-        self.core.rank(&self.backend, text, k, params)
-    }
-
-    /// [`Self::rank`] without early termination — the brute-force oracle
-    /// used by tests and the ablation gate to certify WAND.
-    pub fn rank_exhaustive(
-        &self,
-        text: &str,
-        k: usize,
-        params: crate::rank::Bm25Params,
-    ) -> Result<Vec<Hit>> {
-        self.core.rank_exhaustive(&self.backend, text, k, params)
-    }
-
-    /// BM25 ranked top-k with caller-supplied idf weights and avgdl (the
-    /// router's distributed RANK phase).
-    pub fn weighted_rank(
-        &self,
-        terms: &[(String, f64)],
-        k: usize,
-        params: crate::rank::Bm25Params,
-        avgdl: f64,
-    ) -> Result<Vec<Hit>> {
-        self.core.weighted_rank(&self.backend, terms, k, params, avgdl)
+        let array = self.backend.dual().array();
+        crate::snapshot::materialize(&mut self.core, &self.backend, array, prev)
     }
 
     /// Total lexer tokens across all added documents (BM25 avgdl
@@ -815,10 +557,32 @@ impl SearchEngine {
         self.core.total_tokens
     }
 
-    /// Evaluate a typed [`crate::EngineQuery`] — the unified query
-    /// surface shared by every engine and the serving layer.
-    pub fn execute(&self, query: &crate::EngineQuery) -> Result<crate::QueryOutput> {
-        crate::query::execute_with(&self.core, &self.backend, query)
+    fn reader(&self) -> LiveReader<'_, Backend> {
+        LiveReader { core: &self.core, source: &self.backend, array: self.backend.dual().array() }
+    }
+
+    /// Evaluate a typed [`EngineQuery`] — the only read entry point,
+    /// shared with [`crate::DurableEngine`] and [`crate::EngineSnapshot`].
+    /// `&self`: queries share the engine, so a serving layer can fan them
+    /// out across threads while a single writer ingests.
+    pub fn execute(&self, query: &EngineQuery) -> Result<QueryOutput> {
+        crate::query::execute(&self.reader(), query)
+    }
+
+    /// [`EngineQuery::Rank`] without early termination — the brute-force
+    /// reference implementation tests and the ablation gate certify WAND
+    /// against.
+    pub fn rank_exhaustive(&self, text: &str, k: usize, params: Bm25Params) -> Result<Vec<Hit>> {
+        let ctx = self.reader();
+        crate::rank::rank_like_exhaustive(
+            &ctx,
+            &crate::query::text_words(&ctx, text),
+            self.core.total_docs,
+            &self.core.doc_lengths,
+            self.core.avgdl(),
+            params,
+            k,
+        )
     }
 }
 
@@ -1030,8 +794,13 @@ mod tests {
         SearchEngine::create(array, IndexConfig::small()).unwrap()
     }
 
-    fn doc_ids(list: &PostingList) -> Vec<u32> {
-        list.docs().iter().map(|d| d.0).collect()
+    /// Documents matching a boolean query string.
+    fn boolean(e: &SearchEngine, query: &str) -> Vec<u32> {
+        doc_ids(&e.execute(&EngineQuery::boolean(query)).unwrap())
+    }
+
+    fn doc_ids(out: &QueryOutput) -> Vec<u32> {
+        out.docs().expect("docs output").docs().iter().map(|d| d.0).collect()
     }
 
     #[test]
@@ -1060,9 +829,8 @@ mod tests {
         }
         seq.flush().unwrap();
         par.flush().unwrap();
-        let a = seq.boolean_str("shared AND 3").unwrap();
-        let b = par.boolean_str("shared AND 3").unwrap();
-        assert_eq!(doc_ids(&a), doc_ids(&b));
+        let a = boolean(&seq, "shared AND 3");
+        assert_eq!(a, boolean(&par, "shared AND 3"));
         assert!(!a.is_empty());
     }
 
@@ -1074,20 +842,16 @@ mod tests {
         let d3 = e.add_document("a mouse ran away").unwrap();
         e.flush().unwrap();
         assert_eq!((d1.0, d2.0, d3.0), (1, 2, 3));
-        let r = e.boolean_str("(cat and dog) or mouse").unwrap();
-        assert_eq!(doc_ids(&r), vec![2, 3]);
-        let r = e.boolean_str("cat and not dog").unwrap();
-        assert_eq!(doc_ids(&r), vec![1]);
-        let r = e.boolean_str("sat").unwrap();
-        assert_eq!(doc_ids(&r), vec![1, 2]);
+        assert_eq!(boolean(&e, "(cat and dog) or mouse"), vec![2, 3]);
+        assert_eq!(boolean(&e, "cat and not dog"), vec![1]);
+        assert_eq!(boolean(&e, "sat"), vec![1, 2]);
     }
 
     #[test]
     fn queries_see_unflushed_documents() {
         let mut e = engine();
         e.add_document("alpha beta gamma plus padding words").unwrap();
-        let r = e.boolean_str("beta").unwrap();
-        assert_eq!(r.len(), 1);
+        assert_eq!(boolean(&e, "beta").len(), 1);
     }
 
     #[test]
@@ -1095,19 +859,17 @@ mod tests {
         let mut e = engine();
         e.add_document("something else entirely").unwrap();
         e.flush().unwrap();
-        assert!(e.boolean_str("nonexistent").unwrap().is_empty());
-        assert!(e.boolean_str("something and nonexistent").unwrap().is_empty());
-        assert_eq!(e.boolean_str("something or nonexistent").unwrap().len(), 1);
+        assert!(boolean(&e, "nonexistent").is_empty());
+        assert!(boolean(&e, "something and nonexistent").is_empty());
+        assert_eq!(boolean(&e, "something or nonexistent").len(), 1);
     }
 
     #[test]
     fn parser_rejects_malformed() {
         let e = engine();
-        assert!(e.parse_query("(cat and dog").is_err());
-        assert!(e.parse_query("cat dog").is_err());
-        assert!(e.parse_query("not cat").is_err());
-        assert!(e.parse_query("cat and").is_err());
-        assert!(e.parse_query("c@t").is_err());
+        for bad in ["(cat and dog", "cat dog", "not cat", "cat and", "c@t"] {
+            assert!(e.execute(&EngineQuery::boolean(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
@@ -1117,7 +879,8 @@ mod tests {
         e.add_document("rust compiler internals").unwrap();
         e.add_document("cooking with garlic").unwrap();
         e.flush().unwrap();
-        let hits = e.more_like_this("rust database papers", 3).unwrap();
+        let out = e.execute(&EngineQuery::like("rust database papers", 3)).unwrap();
+        let hits = out.hits().unwrap();
         assert_eq!(hits[0].doc, DocId(1));
         assert!(hits.len() >= 2);
         assert!(hits[0].score > hits[1].score);
@@ -1128,10 +891,10 @@ mod tests {
         let mut e = engine();
         e.add_document("Date: ignored words here\nReal CONTENT body").unwrap();
         e.flush().unwrap();
-        assert!(e.boolean_str("content").unwrap().len() == 1);
-        assert!(e.boolean_str("ignored").unwrap().is_empty());
+        assert!(boolean(&e, "content").len() == 1);
+        assert!(boolean(&e, "ignored").is_empty());
         // Uppercase query words are lowercased by the query lexer too.
-        assert!(e.boolean_str("CONTENT").unwrap().len() == 1);
+        assert!(boolean(&e, "CONTENT").len() == 1);
     }
 
     #[test]
@@ -1141,8 +904,7 @@ mod tests {
         e.add_document("shared words two").unwrap();
         e.flush().unwrap();
         e.delete(d1);
-        let r = e.boolean_str("shared").unwrap();
-        assert_eq!(r.len(), 1);
+        assert_eq!(boolean(&e, "shared").len(), 1);
         let report = e.sweep().unwrap();
         assert!(report.postings_removed >= 2);
     }
@@ -1167,12 +929,11 @@ mod tests {
         e.flush().unwrap();
         // d1: cat@1 dog@6 -> distance 5. d2: cat@1, dog@6? positions:
         // a(0) cat(1) lived(2) here(3) while(4) the(5) dog(6)... also 5.
-        let r = e.within("cat", "dog", 5).unwrap();
-        assert_eq!(r.docs(), &[d1, d2]);
-        let r = e.within("cat", "dog", 2).unwrap();
-        assert!(r.is_empty());
+        let near = |w1, w2, window| doc_ids(&e.execute(&EngineQuery::near(w1, w2, window)).unwrap());
+        assert_eq!(near("cat", "dog", 5), vec![d1.0, d2.0]);
+        assert!(near("cat", "dog", 2).is_empty());
         // Unknown words match nothing.
-        assert!(e.within("cat", "unicorn", 100).unwrap().is_empty());
+        assert!(near("cat", "unicorn", 100).is_empty());
     }
 
     #[test]
@@ -1181,24 +942,23 @@ mod tests {
         let d1 = e.add_document("incremental updates of inverted lists for retrieval").unwrap();
         e.add_document("inverted updates of incremental lists reversed order here").unwrap();
         e.flush().unwrap();
-        let r = e.phrase("incremental updates of inverted lists").unwrap();
-        assert_eq!(r.docs(), &[d1]);
+        let phrase = |p| doc_ids(&e.execute(&EngineQuery::phrase(p)).unwrap());
+        assert_eq!(phrase("incremental updates of inverted lists"), vec![d1.0]);
         // Both docs contain all the words; only one has the phrase.
-        let r = e.phrase("updates of").unwrap();
-        assert_eq!(r.len(), 2);
-        assert!(e.phrase("lists inverted").unwrap().is_empty());
-        assert!(e.phrase("").unwrap().is_empty());
-        assert!(e.phrase("unknownword updates").unwrap().is_empty());
+        assert_eq!(phrase("updates of").len(), 2);
+        assert!(phrase("lists inverted").is_empty());
+        assert!(phrase("").is_empty());
+        assert!(phrase("unknownword updates").is_empty());
         // Case-insensitive, as everywhere.
-        assert_eq!(e.phrase("Incremental UPDATES").unwrap().len(), 1);
+        assert_eq!(phrase("Incremental UPDATES").len(), 1);
     }
 
     #[test]
     fn proximity_sees_unflushed_documents() {
         let mut e = engine();
         let d = e.add_document("alpha beta gamma delta words here").unwrap();
-        let r = e.within("alpha", "gamma", 2).unwrap();
-        assert_eq!(r.docs(), &[d]);
+        let r = e.execute(&EngineQuery::near("alpha", "gamma", 2)).unwrap();
+        assert_eq!(doc_ids(&r), vec![d.0]);
     }
 
     #[test]
@@ -1230,15 +990,15 @@ mod tests {
         };
         let mut e = SearchEngine::open(file_array(false), config, &meta).unwrap();
         assert_eq!(e.total_docs(), 2);
-        assert_eq!(e.boolean_str("cat and dog").unwrap().len(), 1);
+        assert_eq!(boolean(&e, "cat and dog").len(), 1);
         assert_eq!(e.document(DocId(1)).unwrap().unwrap(), "the cat sat beside the dog");
-        assert_eq!(e.within("cat", "mouse", 5).unwrap().len(), 1);
+        assert_eq!(doc_ids(&e.execute(&EngineQuery::near("cat", "mouse", 5)).unwrap()).len(), 1);
         // The engine keeps working: new documents get fresh ids and the
         // vocabulary keeps interning consistently.
         let d3 = e.add_document("another cat arrives").unwrap();
         assert_eq!(d3, DocId(3));
         e.flush().unwrap();
-        assert_eq!(e.boolean_str("cat").unwrap().len(), 3);
+        assert_eq!(boolean(&e, "cat").len(), 3);
         // Corrupt meta is rejected.
         assert!(SearchEngine::open(file_array(false), config, b"garbage").is_err());
         std::fs::remove_dir_all(&dir).ok();

@@ -6,7 +6,14 @@
 //! maximize the weighted sum of occurring words", using inverted lists to
 //! prune candidates. This crate provides both, plus [`engine::SearchEngine`]
 //! — a complete text-in/results-out engine combining the corpus lexer, a
-//! word interner, and [`invidx_core::DualIndex`].
+//! word interner, and [`invidx_core::DualIndex`] — its crash-safe sibling
+//! [`DurableEngine`], and the immutable [`EngineSnapshot`] the serving
+//! layer reads from.
+//!
+//! All three answer queries through one method, `execute(&EngineQuery)`,
+//! and one evaluator ([`query`]): the paper's index serves both retrieval
+//! models through a single operation — fetch an inverted list
+//! ([`PostingSource`]) — and so does this crate.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -23,8 +30,8 @@ pub mod vector;
 
 pub use boolean::{PostingSource, Query};
 pub use docstore::DocStore;
-pub use durable_engine::{DurableBackend, DurableEngine};
-pub use engine::{Backend, QueryIndex, SearchEngine};
+pub use durable_engine::DurableEngine;
+pub use engine::SearchEngine;
 pub use query::{EngineQuery, QueryOutput};
 pub use rank::{rank_exhaustive, rank_like, rank_seeded, Bm25Params};
 pub use snapshot::EngineSnapshot;

@@ -245,7 +245,10 @@ fn wand(
         .enumerate()
         .map(|(ord, t)| Cursor { ord, ub: t.idf * max_norm, pos: 0 })
         .collect();
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
+    // `k` can come straight off the wire: no more hits can come back than
+    // there are postings, so that — not the request — bounds the heap.
+    let postings: usize = terms.iter().map(|t| t.list.len()).sum();
+    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k.min(postings) + 1);
     loop {
         cursors.retain(|c| c.pos < terms[c.ord].list.len());
         if cursors.is_empty() {

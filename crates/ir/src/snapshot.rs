@@ -15,17 +15,17 @@
 //! that batch touched and `Arc`-shares the rest from the previous
 //! snapshot.
 //!
-//! Query evaluation reuses the engines' own helpers
-//! ([`crate::engine::parse_query_with`], the positional filters, and the
-//! slice-ordered vector scorers), so snapshot answers — including LIKE
-//! scores, bit-exactly — match the live engine by construction.
+//! A snapshot has no evaluator of its own: it implements the evaluator's
+//! `ReadContext` over its maps and [`EngineSnapshot::execute`] runs the
+//! same crate-private `query::execute` as the live engines, so snapshot
+//! answers — scores included, bit-exactly — match them by construction.
 
-use crate::boolean::{PostingSource, Query};
-use crate::engine::{filter_phrase, filter_within, parse_query_with, EngineCore, QueryIndex};
-use crate::vector::{search_like, search_seeded, Hit};
+use crate::boolean::PostingSource;
+use crate::engine::EngineCore;
+use crate::query::{EngineQuery, QueryOutput, ReadContext};
 use invidx_core::postings::PostingList;
 use invidx_core::types::{DocId, Result, WordId};
-use invidx_corpus::lexer;
+use invidx_disk::DiskArray;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -54,147 +54,15 @@ impl EngineSnapshot {
         Self::default()
     }
 
-    fn word_id(&self, word: &str) -> Option<WordId> {
-        self.vocab.get(&word.to_ascii_lowercase()).copied()
-    }
-
-    fn load_text(&self, doc: DocId) -> Result<Option<String>> {
-        Ok(self.texts.get(&doc).map(|t| t.to_string()))
-    }
-
-    /// Parse and evaluate a boolean query string, e.g.
-    /// `"(cat and dog) or mouse"`.
-    pub fn boolean_str(&self, query: &str) -> Result<PostingList> {
-        parse_query_with(&self.vocab, query)?.eval(self)
-    }
-
-    /// Proximity query: documents where `w1` and `w2` occur within
-    /// `window` positions of each other.
-    pub fn within(&self, w1: &str, w2: &str, window: u32) -> Result<PostingList> {
-        let (Some(a), Some(b)) = (self.word_id(w1), self.word_id(w2)) else {
-            return Ok(PostingList::new());
-        };
-        let candidates = Query::and(Query::Word(a), Query::Word(b)).eval(self)?;
-        filter_within(&candidates, |doc| self.load_text(doc), w1, w2, window)
-    }
-
-    /// Phrase query: the words of `phrase` occur contiguously, in order.
-    pub fn phrase(&self, phrase: &str) -> Result<PostingList> {
-        let words: Vec<String> = lexer::tokenize_document(phrase);
-        if words.is_empty() {
-            return Ok(PostingList::new());
-        }
-        let mut ids = Vec::with_capacity(words.len());
-        for w in &words {
-            match self.vocab.get(w) {
-                Some(&id) => ids.push(Query::Word(id)),
-                None => return Ok(PostingList::new()),
-            }
-        }
-        let candidates = Query::And(ids).eval(self)?;
-        filter_phrase(&candidates, |doc| self.load_text(doc), &words)
-    }
-
-    /// Vector-space search using a document text as the query. Terms run
-    /// in the lexer's canonical order, so scores are bit-exact with the
-    /// live engine's `more_like_this`.
-    pub fn more_like_this(&self, text: &str, k: usize) -> Result<Vec<Hit>> {
-        let words: Vec<WordId> = lexer::document_words(text)
-            .iter()
-            .filter_map(|w| self.vocab.get(w).copied())
-            .collect();
-        search_like(self, &words, self.total_docs, k)
-    }
-
-    /// Document frequency per term (0 for unknown words).
-    pub fn term_dfs(&self, terms: &[String]) -> Result<Vec<u64>> {
-        Ok(terms
-            .iter()
-            .map(|t| match self.word_id(t) {
-                Some(w) => self.postings.get(&w).map(|l| l.len() as u64).unwrap_or(0),
-                None => 0,
-            })
-            .collect())
-    }
-
-    /// Top-k scoring with caller-supplied per-term contributions, in
-    /// slice order (the router's WLIKE phase).
-    pub fn weighted_like(&self, terms: &[(String, f64)], k: usize) -> Result<Vec<Hit>> {
-        let seeded: Vec<(WordId, f64)> = terms
-            .iter()
-            .filter_map(|(t, w)| self.word_id(t).map(|id| (id, *w)))
-            .collect();
-        search_seeded(self, &seeded, k)
-    }
-
-    /// BM25 ranked top-k using a document text as the query, bit-exact
-    /// with the live engine's `rank`.
-    pub fn rank(&self, text: &str, k: usize, params: crate::rank::Bm25Params) -> Result<Vec<Hit>> {
-        let words: Vec<WordId> = lexer::document_words(text)
-            .iter()
-            .filter_map(|w| self.vocab.get(w).copied())
-            .collect();
-        crate::rank::rank_like(
-            self,
-            &words,
-            self.total_docs,
-            &self.lens,
-            crate::rank::avgdl(self.total_tokens, self.total_docs),
-            params,
-            k,
-        )
-    }
-
-    /// BM25 ranked top-k with caller-supplied idf weights and avgdl (the
-    /// router's distributed RANK phase).
-    pub fn weighted_rank(
-        &self,
-        terms: &[(String, f64)],
-        k: usize,
-        params: crate::rank::Bm25Params,
-        avgdl: f64,
-    ) -> Result<Vec<Hit>> {
-        let seeded: Vec<(WordId, f64)> = terms
-            .iter()
-            .filter_map(|(t, w)| self.word_id(t).map(|id| (id, *w)))
-            .collect();
-        crate::rank::rank_seeded(self, &seeded, &self.lens, avgdl, params, k)
-    }
-
     /// Total lexer tokens as of this snapshot (BM25 avgdl numerator).
     pub fn total_tokens(&self) -> u64 {
         self.total_tokens
     }
 
-    /// Evaluate a typed [`crate::EngineQuery`] — same dispatch as the
-    /// live engines, over this snapshot's materialized state.
-    pub fn execute(&self, query: &crate::EngineQuery) -> Result<crate::QueryOutput> {
-        use crate::{EngineQuery, QueryOutput};
-        Ok(match query {
-            EngineQuery::Boolean(text) => {
-                QueryOutput::Docs(parse_query_with(&self.vocab, text)?.eval(self)?)
-            }
-            EngineQuery::Phrase(text) => QueryOutput::Docs(self.phrase(text)?),
-            EngineQuery::Near { w1, w2, window } => {
-                QueryOutput::Docs(self.within(w1, w2, *window)?)
-            }
-            EngineQuery::Like { text, k } => QueryOutput::Hits(self.more_like_this(text, *k)?),
-            EngineQuery::Rank { text, k, params } => {
-                QueryOutput::Hits(self.rank(text, *k, *params)?)
-            }
-            EngineQuery::WeightedLike { terms, k } => {
-                QueryOutput::Hits(self.weighted_like(terms, *k)?)
-            }
-            EngineQuery::WeightedRank { terms, k, params, avgdl } => {
-                QueryOutput::Hits(self.weighted_rank(terms, *k, *params, *avgdl)?)
-            }
-            EngineQuery::Dfs(terms) => QueryOutput::Dfs {
-                docs: self.total_docs,
-                tokens: self.total_tokens,
-                dfs: self.term_dfs(terms)?,
-            },
-            EngineQuery::Doc(doc) => QueryOutput::Text(self.load_text(*doc)?),
-        })
+    /// Evaluate a typed [`EngineQuery`] — the only read entry point, and
+    /// the same evaluator the live engines run.
+    pub fn execute(&self, query: &EngineQuery) -> Result<QueryOutput> {
+        crate::query::execute(self, query)
     }
 
     /// The stored text of a document.
@@ -222,6 +90,33 @@ impl PostingSource for EngineSnapshot {
     }
 }
 
+impl ReadContext for EngineSnapshot {
+    fn vocab(&self) -> &HashMap<String, WordId> {
+        &self.vocab
+    }
+
+    fn doc_lengths(&self) -> &HashMap<DocId, u32> {
+        &self.lens
+    }
+
+    fn total_docs(&self) -> u64 {
+        self.total_docs
+    }
+
+    fn total_tokens(&self) -> u64 {
+        self.total_tokens
+    }
+
+    fn load_text(&self, doc: DocId) -> Result<Option<String>> {
+        Ok(self.texts.get(&doc).map(|t| t.to_string()))
+    }
+
+    /// Reads the materialized list's length in place — no clone.
+    fn df(&self, word: WordId) -> Result<u64> {
+        Ok(self.postings.get(&word).map_or(0, |l| l.len() as u64))
+    }
+}
+
 /// Build the next snapshot from an engine's core and index.
 ///
 /// Pass `prev` — the snapshot produced by the *previous* call on this
@@ -231,9 +126,10 @@ impl PostingSource for EngineSnapshot {
 /// re-read. Either way the reads go through the index's normal
 /// [`PostingSource`] path, so block-cache counters and `block_cache` /
 /// `disk` trace stages charge here, at publish time, not on queries.
-pub(crate) fn materialize<S: QueryIndex + ?Sized>(
+pub(crate) fn materialize<S: PostingSource + ?Sized>(
     core: &mut EngineCore,
     index: &S,
+    array: &DiskArray,
     prev: Option<&EngineSnapshot>,
 ) -> Result<EngineSnapshot> {
     let _stage = invidx_obs::trace::stage("materialize");
@@ -252,7 +148,7 @@ pub(crate) fn materialize<S: QueryIndex + ?Sized>(
             }
         }
         for (doc, _, _, _) in core.docs.extents() {
-            if let Some(text) = core.docs.load(index.array(), doc)? {
+            if let Some(text) = core.docs.load(array, doc)? {
                 texts.insert(doc, Arc::from(text.as_str()));
             }
         }
@@ -268,7 +164,7 @@ pub(crate) fn materialize<S: QueryIndex + ?Sized>(
         let from = prev.map(|p| p.next_doc).unwrap_or(1);
         for id in from..core.next_doc {
             let doc = DocId(id);
-            if let Some(text) = core.docs.load(index.array(), doc)? {
+            if let Some(text) = core.docs.load(array, doc)? {
                 texts.insert(doc, Arc::from(text.as_str()));
             }
         }
@@ -301,16 +197,14 @@ pub(crate) fn materialize<S: QueryIndex + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SearchEngine;
+    use crate::rank::Bm25Params;
+    use crate::{DurableEngine, SearchEngine};
     use invidx_core::index::{EngineKind, IndexConfig};
     use invidx_disk::sparse_array;
+    use invidx_durable::{DurableOptions, StoreGeometry};
 
-    fn ids(list: &PostingList) -> Vec<u32> {
-        list.docs().iter().map(|d| d.0).collect()
-    }
-
-    fn score_bits(hits: &[Hit]) -> Vec<(u32, u64)> {
-        hits.iter().map(|h| (h.doc.0, h.score.to_bits())).collect()
+    fn ids(out: &QueryOutput) -> Vec<u32> {
+        out.docs().expect("docs output").docs().iter().map(|d| d.0).collect()
     }
 
     fn corpus() -> Vec<String> {
@@ -327,120 +221,221 @@ mod tests {
             .collect()
     }
 
-    fn assert_parity(engine: &SearchEngine, snap: &EngineSnapshot) {
-        assert_eq!(snap.total_docs(), engine.total_docs());
-        assert_eq!(snap.vocabulary_size(), engine.vocabulary_size());
-        for q in ["shared", "cat and dog", "(cat and dog) or mouse", "shared and not cat", "w3 or w10", "nonexistent"] {
-            assert_eq!(
-                ids(&snap.boolean_str(q).unwrap()),
-                ids(&engine.boolean_str(q).unwrap()),
-                "boolean {q:?}"
-            );
-        }
-        assert_eq!(
-            ids(&snap.within("cat", "dog", 4).unwrap()),
-            ids(&engine.within("cat", "dog", 4).unwrap())
-        );
-        assert_eq!(
-            ids(&snap.phrase("cat sat near the dog").unwrap()),
-            ids(&engine.phrase("cat sat near the dog").unwrap())
-        );
-        assert_eq!(
-            score_bits(&snap.more_like_this("shared anchor cat dog", 10).unwrap()),
-            score_bits(&engine.more_like_this("shared anchor cat dog", 10).unwrap()),
-            "LIKE scores must be bit-exact"
-        );
-        let terms: Vec<String> = ["shared", "cat", "zebra"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(snap.term_dfs(&terms).unwrap(), engine.term_dfs(&terms).unwrap());
+    /// At least one query of every [`EngineQuery`] variant. The `match`
+    /// has no wildcard arm and each arm supplies the next variant's
+    /// cases, so a new variant does not compile until it joins the table.
+    fn table() -> Vec<EngineQuery> {
         let weighted: Vec<(String, f64)> =
-            [("shared", 0.5), ("dog", 2.0)].iter().map(|(t, w)| (t.to_string(), *w)).collect();
-        assert_eq!(
-            score_bits(&snap.weighted_like(&weighted, 5).unwrap()),
-            score_bits(&engine.weighted_like(&weighted, 5).unwrap())
-        );
-        let p = crate::rank::Bm25Params::default();
-        assert_eq!(
-            score_bits(&snap.rank("shared anchor cat dog", 10, p).unwrap()),
-            score_bits(&engine.rank("shared anchor cat dog", 10, p).unwrap()),
-            "BM25 RANK scores must be bit-exact"
-        );
-        let avgdl = crate::rank::avgdl(engine.total_tokens(), engine.total_docs());
-        assert_eq!(
-            score_bits(&snap.weighted_rank(&weighted, 5, p, avgdl).unwrap()),
-            score_bits(&engine.weighted_rank(&weighted, 5, p, avgdl).unwrap())
-        );
-        // The typed query surface dispatches to the same evaluators.
-        let q = crate::EngineQuery::Rank { text: "shared anchor".into(), k: 5, params: p };
-        assert_eq!(snap.execute(&q).unwrap(), engine.execute(&q).unwrap());
-        let q = crate::EngineQuery::Dfs(vec!["shared".into(), "zebra".into()]);
-        assert_eq!(snap.execute(&q).unwrap(), engine.execute(&q).unwrap());
-        for d in [1u32, 2, 7, 999] {
-            assert_eq!(snap.document(DocId(d)).unwrap(), engine.document(DocId(d)).unwrap());
+            [("shared", 0.5), ("dog", 2.0), ("zebra", 1.0)].map(|(t, w)| (t.to_string(), w)).into();
+        let params = Bm25Params::default();
+        let mut table: Vec<EngineQuery> =
+            ["shared", "cat and dog", "(cat and dog) or mouse", "shared and not cat", "w3 or w10", "nonexistent"]
+                .map(EngineQuery::boolean)
+                .into();
+        loop {
+            let next = match table.last().expect("seeded above") {
+                EngineQuery::Boolean(_) => vec![
+                    EngineQuery::phrase("cat sat near the dog"),
+                    EngineQuery::phrase("Shared W3"),
+                    EngineQuery::phrase("dog the near"),
+                    EngineQuery::phrase(""),
+                ],
+                EngineQuery::Phrase(_) => vec![
+                    EngineQuery::near("cat", "dog", 4),
+                    EngineQuery::near("cat", "dog", 1),
+                    EngineQuery::near("CAT", "unicorn", 9),
+                ],
+                EngineQuery::Near { .. } => vec![
+                    EngineQuery::like("shared anchor cat dog", 10),
+                    EngineQuery::like("mouse", 0),
+                ],
+                EngineQuery::Like { .. } => vec![
+                    EngineQuery::rank("shared anchor cat dog", 10),
+                    EngineQuery::Rank {
+                        text: "shared anchor".into(),
+                        k: 5,
+                        params: Bm25Params { k1: 0.9, b: 0.4 },
+                    },
+                ],
+                EngineQuery::Rank { .. } => {
+                    vec![EngineQuery::WeightedLike { terms: weighted.clone(), k: 5 }]
+                }
+                EngineQuery::WeightedLike { .. } => vec![EngineQuery::WeightedRank {
+                    terms: weighted.clone(),
+                    k: 5,
+                    params,
+                    avgdl: 9.25,
+                }],
+                EngineQuery::WeightedRank { .. } => {
+                    vec![EngineQuery::Dfs(["shared", "Cat", "zebra"].map(String::from).into())]
+                }
+                EngineQuery::Dfs(_) => [1u32, 2, 7, 26, 999].map(|d| EngineQuery::Doc(DocId(d))).into(),
+                EngineQuery::Doc(_) => break,
+            };
+            table.extend(next);
         }
+        table
     }
 
-    fn run_parity(config: IndexConfig) {
-        let array = sparse_array(2, 50_000, 256);
-        let mut e = SearchEngine::create(array, config).unwrap();
+    /// The two engines behind one face, so the parity schedule is
+    /// written once.
+    trait Engine {
+        fn add(&mut self, text: &str);
+        fn commit(&mut self);
+        fn view(&mut self, prev: Option<&EngineSnapshot>) -> EngineSnapshot;
+        fn run(&self, query: &EngineQuery) -> Result<QueryOutput>;
+        fn counters(&self) -> (u64, usize);
+    }
+
+    macro_rules! impl_engine {
+        ($engine:ty) => {
+            impl Engine for $engine {
+                fn add(&mut self, text: &str) {
+                    self.add_document(text).unwrap();
+                }
+                fn commit(&mut self) {
+                    self.flush().unwrap();
+                }
+                fn view(&mut self, prev: Option<&EngineSnapshot>) -> EngineSnapshot {
+                    self.snapshot(prev).unwrap()
+                }
+                fn run(&self, query: &EngineQuery) -> Result<QueryOutput> {
+                    self.execute(query)
+                }
+                fn counters(&self) -> (u64, usize) {
+                    (self.total_docs(), self.vocabulary_size())
+                }
+            }
+        };
+    }
+    impl_engine!(SearchEngine);
+    impl_engine!(DurableEngine);
+
+    /// Every table query on the live engine; each snapshot must answer
+    /// `==` — and scores bit for bit, which `f64 ==` alone would not
+    /// promise. Returns the answers for cross-engine comparison.
+    fn answers<E: Engine>(engine: &E, snaps: &[(&str, &EngineSnapshot)]) -> Vec<QueryOutput> {
+        let score_bits =
+            |o: &QueryOutput| o.hits().map(|h| h.iter().map(|h| h.score.to_bits()).collect::<Vec<_>>());
+        table()
+            .iter()
+            .map(|q| {
+                let live = engine.run(q).unwrap();
+                for (what, snap) in snaps {
+                    assert_eq!((snap.total_docs(), snap.vocabulary_size()), engine.counters());
+                    let got = snap.execute(q).unwrap();
+                    assert_eq!(got, live, "{what} snapshot vs live engine: {q:?}");
+                    assert_eq!(score_bits(&got), score_bits(&live), "{what} score bits: {q:?}");
+                }
+                live
+            })
+            .collect()
+    }
+
+    /// Two batches; after each, the live engine against a full snapshot
+    /// and (after the second) the incremental one built off the first.
+    fn drive<E: Engine>(e: &mut E) -> [Vec<QueryOutput>; 2] {
         let texts = corpus();
         for t in &texts[..20] {
-            e.add_document(t).unwrap();
+            e.add(t);
         }
-        e.flush().unwrap();
-        let snap1 = e.snapshot(None).unwrap();
-        assert_parity(&e, &snap1);
+        e.commit();
+        let snap1 = e.view(None);
+        let first = answers(e, &[("full", &snap1)]);
 
-        // Incremental: add more documents, re-materialize off the first.
         for t in &texts[20..] {
-            e.add_document(t).unwrap();
+            e.add(t);
         }
-        e.flush().unwrap();
-        let snap2 = e.snapshot(Some(&snap1)).unwrap();
-        assert_parity(&e, &snap2);
+        e.commit();
+        let snap2 = e.view(Some(&snap1));
+        let full = e.view(None);
+        let second = answers(e, &[("incremental", &snap2), ("full", &full)]);
         // The first snapshot still answers for its own epoch. (The corpus
         // lexer splits letter/digit runs, so "tail25" indexes as "tail"
         // and "25"; the digit token is unique to document 26.)
         assert_eq!(snap1.total_docs(), 20);
-        assert_eq!(ids(&snap1.boolean_str("25").unwrap()), Vec::<u32>::new());
-        assert_eq!(ids(&snap2.boolean_str("25").unwrap()), vec![26]);
+        let q = EngineQuery::boolean("25");
+        assert_eq!(ids(&snap1.execute(&q).unwrap()), Vec::<u32>::new());
+        assert_eq!(ids(&snap2.execute(&q).unwrap()), vec![26]);
+        [first, second]
+    }
+
+    fn search_engine(config: IndexConfig) -> SearchEngine {
+        SearchEngine::create(sparse_array(2, 50_000, 256), config).unwrap()
+    }
+
+    fn segmented() -> IndexConfig {
+        IndexConfig {
+            engine: EngineKind::Segmented { l0_budget: 64, fanout: 2 },
+            ..IndexConfig::small()
+        }
     }
 
     #[test]
     fn snapshot_matches_live_engine_in_place() {
-        run_parity(IndexConfig::small());
+        let stages = drive(&mut search_engine(IndexConfig::small()));
+        // The table is not vacuous: it finds, ranks, counts, and fetches.
+        let last = &stages[1];
+        assert_eq!(ids(&last[1]), vec![1, 4, 7, 10, 13, 16, 19, 22, 25, 28]);
+        assert!(last.iter().any(|o| o.hits().is_some_and(|h| h.len() == 10)));
+        assert!(last.contains(&QueryOutput::Dfs { docs: 30, tokens: 370, dfs: vec![30, 10, 0] }));
+        assert!(last.iter().any(|o| matches!(o, QueryOutput::Text(Some(_)))));
+        assert!(last.contains(&QueryOutput::Text(None)));
     }
 
     #[test]
     fn snapshot_matches_live_engine_segmented() {
-        let config = IndexConfig {
-            engine: EngineKind::Segmented { l0_budget: 64, fanout: 2 },
-            ..IndexConfig::small()
-        };
-        run_parity(config);
+        let reference = drive(&mut search_engine(IndexConfig::small()));
+        assert_eq!(drive(&mut search_engine(segmented())), reference);
+    }
+
+    #[test]
+    fn snapshot_matches_durable_engine_fresh_and_reopened() {
+        let reference = drive(&mut search_engine(IndexConfig::small()));
+        for (name, config) in [("inplace", IndexConfig::small()), ("segmented", segmented())] {
+            let dir = std::env::temp_dir()
+                .join(format!("invidx-snap-parity-{}-{name}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let geometry = StoreGeometry { disks: 2, blocks_per_disk: 20_000, block_size: 256 };
+            let opts = DurableOptions::default();
+            let mut e = DurableEngine::create(&dir, config, geometry, opts).unwrap();
+            assert_eq!(drive(&mut e), reference, "{name}: fresh durable engine");
+            drop(e);
+
+            // Recovery dirties everything, so the first view is a full one;
+            // one more batch then exercises the incremental path too.
+            let mut e = DurableEngine::open(&dir, config, opts).unwrap();
+            let full = e.view(None);
+            assert_eq!(answers(&e, &[("reopened", &full)]), reference[1], "{name}: reopened");
+            e.add("shared anchor cat sat near the dog again");
+            e.commit();
+            let incr = e.view(Some(&full));
+            answers(&e, &[("reopened incremental", &incr)]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
     fn snapshot_tracks_deletions_via_dirty_all() {
-        let array = sparse_array(2, 50_000, 256);
-        let mut e = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let mut e = search_engine(IndexConfig::small());
         let d1 = e.add_document("target shared words").unwrap();
         e.add_document("other shared words").unwrap();
         e.flush().unwrap();
         let snap1 = e.snapshot(None).unwrap();
-        assert_eq!(snap1.boolean_str("target").unwrap().len(), 1);
+        let target = EngineQuery::boolean("target");
+        assert_eq!(ids(&snap1.execute(&target).unwrap()), vec![1]);
 
         e.delete(d1);
         let snap2 = e.snapshot(Some(&snap1)).unwrap();
-        assert!(snap2.boolean_str("target").unwrap().is_empty(), "deletion must invalidate");
-        assert_eq!(ids(&snap2.boolean_str("shared").unwrap()), vec![2]);
+        assert!(ids(&snap2.execute(&target).unwrap()).is_empty(), "deletion must invalidate");
+        assert_eq!(ids(&snap2.execute(&EngineQuery::boolean("shared")).unwrap()), vec![2]);
         // The old snapshot is untouched.
-        assert_eq!(snap1.boolean_str("target").unwrap().len(), 1);
+        assert_eq!(ids(&snap1.execute(&target).unwrap()), vec![1]);
     }
 
     #[test]
     fn incremental_rematerialization_shares_unchanged_lists() {
-        let array = sparse_array(2, 50_000, 256);
-        let mut e = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let mut e = search_engine(IndexConfig::small());
         e.add_document("stable words never touched again").unwrap();
         e.flush().unwrap();
         let snap1 = e.snapshot(None).unwrap();
@@ -450,16 +445,23 @@ mod tests {
         let stable = e.word_id("stable").unwrap();
         assert!(Arc::ptr_eq(&snap1.postings[&stable], &snap2.postings[&stable]));
         assert!(Arc::ptr_eq(&snap1.texts[&DocId(1)], &snap2.texts[&DocId(1)]));
-        assert_eq!(snap2.boolean_str("fresh").unwrap().len(), 1);
+        assert_eq!(ids(&snap2.execute(&EngineQuery::boolean("fresh")).unwrap()), vec![2]);
     }
 
     #[test]
     fn empty_snapshot_answers_nothing() {
         let s = EngineSnapshot::empty();
-        assert!(s.boolean_str("anything").unwrap().is_empty());
-        assert!(s.phrase("any phrase").unwrap().is_empty());
-        assert!(s.within("a", "b", 5).unwrap().is_empty());
-        assert!(s.more_like_this("query text", 5).unwrap().is_empty());
+        for q in table() {
+            match s.execute(&q).unwrap() {
+                QueryOutput::Docs(list) => assert!(list.is_empty(), "{q:?}"),
+                QueryOutput::Hits(hits) => assert!(hits.is_empty(), "{q:?}"),
+                QueryOutput::Dfs { docs, tokens, dfs } => {
+                    assert_eq!((docs, tokens), (0, 0));
+                    assert!(dfs.iter().all(|&df| df == 0), "{q:?}");
+                }
+                QueryOutput::Text(text) => assert_eq!(text, None, "{q:?}"),
+            }
+        }
         assert_eq!(s.total_docs(), 0);
         assert_eq!(s.document(DocId(1)).unwrap(), None);
     }

@@ -193,7 +193,9 @@ pub fn search_like<S: PostingSource + ?Sized>(
 /// doc asc)` is a total order, so the k winners and their ordering are
 /// fully determined by the `(doc, score)` set itself.
 pub(crate) fn top_k(acc: HashMap<DocId, f64>, k: usize) -> Vec<Hit> {
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
+    // `k` can come straight off the wire: size the heap by what can be
+    // returned, never by what was asked for.
+    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k.min(acc.len()) + 1);
     for (doc, score) in acc {
         heap.push(HeapEntry(Hit { doc, score }));
         if heap.len() > k {

@@ -15,7 +15,7 @@ use invidx_core::codec::PostingsCodec;
 use invidx_core::index::{BatchReport, EngineKind, IndexConfig};
 use invidx_core::types::DocId;
 use invidx_disk::sparse_array;
-use invidx_ir::{Bm25Params, EngineQuery, SearchEngine};
+use invidx_ir::{EngineQuery, Hit, QueryOutput, SearchEngine};
 use proptest::prelude::*;
 
 const VOCAB: &[&str] = &[
@@ -66,30 +66,42 @@ fn shape(r: &BatchReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
     )
 }
 
+fn docs(e: &SearchEngine, q: &EngineQuery, what: &str) -> Vec<DocId> {
+    e.execute(q).expect(what).docs().expect("docs output").docs().to_vec()
+}
+
+fn hits(e: &SearchEngine, q: &EngineQuery, what: &str) -> Vec<Hit> {
+    e.execute(q).expect(what).hits().expect("hits output").to_vec()
+}
+
 fn assert_twins(plain: &SearchEngine, packed: &SearchEngine) {
     for w1 in ["alpha", "bravo", "charlie"] {
         for w2 in ["delta", "echo", "juliet"] {
             let q = format!("({w1} or {w2}) and not golf");
+            let query = EngineQuery::boolean(&q);
             assert_eq!(
-                plain.boolean_str(&q).expect("plain boolean").docs(),
-                packed.boolean_str(&q).expect("packed boolean").docs(),
+                docs(plain, &query, "plain boolean"),
+                docs(packed, &query, "packed boolean"),
                 "QUERY diverged: {q}"
             );
         }
     }
+    let phrase = EngineQuery::phrase("alpha bravo");
     assert_eq!(
-        plain.phrase("alpha bravo").expect("plain phrase").docs(),
-        packed.phrase("alpha bravo").expect("packed phrase").docs(),
+        docs(plain, &phrase, "plain phrase"),
+        docs(packed, &phrase, "packed phrase"),
         "PHRASE diverged"
     );
+    let near = EngineQuery::near("echo", "foxtrot", 3);
     assert_eq!(
-        plain.within("echo", "foxtrot", 3).expect("plain near").docs(),
-        packed.within("echo", "foxtrot", 3).expect("packed near").docs(),
+        docs(plain, &near, "plain near"),
+        docs(packed, &near, "packed near"),
         "NEAR diverged"
     );
     // LIKE and BM25 RANK: ranking and scores bit-exact.
-    let like_a = plain.more_like_this("alpha delta golf juliet", 8).expect("plain like");
-    let like_b = packed.more_like_this("alpha delta golf juliet", 8).expect("packed like");
+    let like = EngineQuery::like("alpha delta golf juliet", 8);
+    let like_a = hits(plain, &like, "plain like");
+    let like_b = hits(packed, &like, "packed like");
     assert_eq!(like_a.len(), like_b.len(), "LIKE lengths diverged");
     for (x, y) in like_a.iter().zip(&like_b) {
         assert_eq!(
@@ -98,16 +110,10 @@ fn assert_twins(plain: &SearchEngine, packed: &SearchEngine) {
             "LIKE diverged"
         );
     }
-    let q = EngineQuery::Rank {
-        text: "alpha delta golf juliet".into(),
-        k: 8,
-        params: Bm25Params::default(),
-    };
-    let rank_a = plain.execute(&q).expect("plain rank");
-    let rank_b = packed.execute(&q).expect("packed rank");
-    let (ha, hb) = (rank_a.hits().unwrap(), rank_b.hits().unwrap());
+    let rank = EngineQuery::rank("alpha delta golf juliet", 8);
+    let (ha, hb) = (hits(plain, &rank, "plain rank"), hits(packed, &rank, "packed rank"));
     assert_eq!(ha.len(), hb.len(), "RANK lengths diverged");
-    for (x, y) in ha.iter().zip(hb) {
+    for (x, y) in ha.iter().zip(&hb) {
         assert_eq!(
             (x.doc, x.score.to_bits()),
             (y.doc, y.score.to_bits()),
@@ -115,11 +121,10 @@ fn assert_twins(plain: &SearchEngine, packed: &SearchEngine) {
         );
     }
     let terms: Vec<String> = VOCAB.iter().map(|w| w.to_string()).collect();
-    assert_eq!(
-        plain.term_dfs(&terms).expect("plain dfs"),
-        packed.term_dfs(&terms).expect("packed dfs"),
-        "DF diverged"
-    );
+    let dfs = EngineQuery::Dfs(terms);
+    let df_plain = plain.execute(&dfs).expect("plain dfs");
+    assert!(matches!(df_plain, QueryOutput::Dfs { .. }), "DF answered {df_plain:?}");
+    assert_eq!(df_plain, packed.execute(&dfs).expect("packed dfs"), "DF diverged");
     for d in 1..=plain.total_docs() as u32 {
         assert_eq!(
             plain.document(DocId(d)).expect("plain doc"),

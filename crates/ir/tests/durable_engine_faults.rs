@@ -8,7 +8,7 @@
 use invidx_core::index::IndexConfig;
 use invidx_core::types::DocId;
 use invidx_durable::{DurableOptions, Fault, FaultInjector, FaultPoint, StoreGeometry};
-use invidx_ir::DurableEngine;
+use invidx_ir::{DurableEngine, EngineQuery};
 use std::path::PathBuf;
 
 fn geom() -> StoreGeometry {
@@ -26,19 +26,25 @@ const BATCH_1: [&str; 2] = ["the cat sat on the mat", "the dog chased the cat"];
 const BATCH_2: [&str; 2] = ["a mouse ran past the sleeping dog", "the cat watched the mouse"];
 const BATCH_3: [&str; 2] = ["an owl arrived at midnight", "the owl and the cat stared"];
 
+/// Documents matching a boolean query string.
+fn matches(e: &DurableEngine, query: &str) -> Vec<DocId> {
+    e.execute(&EngineQuery::boolean(query)).unwrap().docs().unwrap().docs().to_vec()
+}
+
 /// Assert the engine reflects exactly the first two committed batches.
 fn verify_two_batches(e: &mut DurableEngine) {
     assert_eq!(e.total_docs(), 4);
-    assert_eq!(e.boolean_str("cat").unwrap().len(), 3);
-    assert_eq!(e.boolean_str("cat and mouse").unwrap().len(), 1);
-    assert!(e.boolean_str("owl").unwrap().is_empty(), "uncommitted batch leaked");
+    assert_eq!(matches(e, "cat").len(), 3);
+    assert_eq!(matches(e, "cat and mouse").len(), 1);
+    assert!(matches(e, "owl").is_empty(), "uncommitted batch leaked");
     assert_eq!(e.word_id("owl"), None, "uncommitted vocabulary leaked");
     for (i, text) in BATCH_1.iter().chain(&BATCH_2).enumerate() {
         let doc = DocId(i as u32 + 1);
         assert_eq!(e.document(doc).unwrap().as_deref(), Some(*text), "doc {doc}");
     }
     assert_eq!(e.document(DocId(5)).unwrap(), None);
-    assert_eq!(e.within("cat", "mouse", 5).unwrap().len(), 1);
+    let near = e.execute(&EngineQuery::near("cat", "mouse", 5)).unwrap();
+    assert_eq!(near.docs().unwrap().len(), 1);
 }
 
 /// The full crash → recover → query loop: kill the WAL fsync of batch 3,
@@ -76,13 +82,13 @@ fn crash_at_commit_point_rolls_back_to_last_batch() {
     let d = e.add_document("an owl arrived at midnight").unwrap();
     assert_eq!(d, DocId(5));
     e.flush().unwrap();
-    assert_eq!(e.boolean_str("owl").unwrap().len(), 1);
+    assert_eq!(matches(&e, "owl").len(), 1);
 
     // One more clean reopen for good measure.
     drop(e);
     let e = DurableEngine::open(&dir, IndexConfig::small(), opts).unwrap();
     assert_eq!(e.total_docs(), 5);
-    assert_eq!(e.boolean_str("owl or mouse").unwrap().len(), 3);
+    assert_eq!(matches(&e, "owl or mouse").len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -174,8 +180,8 @@ fn recovery_combines_checkpoint_meta_and_wal_replay() {
     assert_eq!(info.replayed_records, 2, "batch 2 and the crashed-apply batch 3");
     let total = 2 + FILLER_DOCS as u64 + 2 + 2 + 1;
     assert_eq!(e.total_docs(), total);
-    assert_eq!(e.boolean_str("owl and cat").unwrap().len(), 1);
-    assert_eq!(e.boolean_str("filler").unwrap().len(), FILLER_DOCS as usize + 1);
+    assert_eq!(matches(&e, "owl and cat").len(), 1);
+    assert_eq!(matches(&e, "filler").len(), FILLER_DOCS as usize + 1);
     let owl_doc = DocId(2 + FILLER_DOCS + 2 + 2); // BATCH_3[1]'s id
     assert_eq!(e.document(owl_doc).unwrap().as_deref(), Some(BATCH_3[1]));
     assert!(e.word_id("owl").is_some());

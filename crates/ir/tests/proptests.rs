@@ -139,7 +139,7 @@ proptest! {
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::{EngineQuery, SearchEngine};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -165,7 +165,7 @@ proptest! {
             };
         }
         // Must parse, evaluate, and stay within the corpus.
-        let result = engine.boolean_str(&q).expect("eval");
-        prop_assert!(result.len() <= 1);
+        let result = engine.execute(&EngineQuery::boolean(&q)).expect("eval");
+        prop_assert!(result.docs().expect("docs output").len() <= 1);
     }
 }

@@ -5,7 +5,7 @@
 
 use invidx_core::index::{EngineKind, IndexConfig};
 use invidx_disk::sparse_array;
-use invidx_ir::{Bm25Params, SearchEngine};
+use invidx_ir::{Bm25Params, EngineQuery, SearchEngine};
 use proptest::prelude::*;
 
 const VOCAB: &[&str] = &[
@@ -30,7 +30,8 @@ fn run(kind: EngineKind, docs: &[Vec<usize>], deletes: &[u32], query: &[usize], 
     e.flush().expect("flush");
     let qtext = query.iter().map(|&i| VOCAB[i]).collect::<Vec<_>>().join(" ");
     let params = Bm25Params::default();
-    let wand = e.rank(&qtext, k, params).expect("wand");
+    let wand = e.execute(&EngineQuery::Rank { text: qtext.clone(), k, params }).expect("wand");
+    let wand = wand.hits().expect("hits output");
     let brute = e.rank_exhaustive(&qtext, k, params).expect("exhaustive");
     assert_eq!(wand.len(), brute.len(), "hit counts diverged (k={k}, q={qtext:?})");
     for (w, b) in wand.iter().zip(&brute) {

@@ -13,7 +13,7 @@
 use invidx_core::index::{EngineKind, IndexConfig};
 use invidx_core::types::DocId;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::{EngineQuery, Hit, QueryOutput, SearchEngine};
 use proptest::prelude::*;
 
 /// A small closed vocabulary so generated docs, queries, and phrases
@@ -52,6 +52,14 @@ fn text(doc: &[usize]) -> String {
     doc.iter().map(|&i| VOCAB[i]).collect::<Vec<_>>().join(" ")
 }
 
+fn docs(e: &SearchEngine, q: &EngineQuery, what: &str) -> Vec<DocId> {
+    e.execute(q).expect(what).docs().expect("docs output").docs().to_vec()
+}
+
+fn hits(e: &SearchEngine, q: &EngineQuery, what: &str) -> Vec<Hit> {
+    e.execute(q).expect(what).hits().expect("hits output").to_vec()
+}
+
 /// Compare every query surface the engine exposes. `LIKE` scores must be
 /// bit-exact, not approximately equal: both engines fold the same doc
 /// frequencies in the same order.
@@ -64,25 +72,29 @@ fn assert_twins(a: &SearchEngine, b: &SearchEngine) {
                 format!("{w1} or {w2}"),
                 format!("({w1} or {w2}) and not golf"),
             ] {
-                let pa = a.boolean_str(&q).expect("in-place boolean");
-                let pb = b.boolean_str(&q).expect("segmented boolean");
-                assert_eq!(pa.docs(), pb.docs(), "QUERY diverged: {q}");
+                let query = EngineQuery::boolean(&q);
+                let pa = docs(a, &query, "in-place boolean");
+                let pb = docs(b, &query, "segmented boolean");
+                assert_eq!(pa, pb, "QUERY diverged: {q}");
             }
         }
     }
     // PHRASE and NEAR.
     for pair in [("alpha", "bravo"), ("echo", "foxtrot"), ("india", "juliet")] {
         let (w1, w2) = pair;
-        let pa = a.phrase(&format!("{w1} {w2}")).expect("in-place phrase");
-        let pb = b.phrase(&format!("{w1} {w2}")).expect("segmented phrase");
-        assert_eq!(pa.docs(), pb.docs(), "PHRASE diverged: {w1} {w2}");
-        let na = a.within(w1, w2, 3).expect("in-place near");
-        let nb = b.within(w1, w2, 3).expect("segmented near");
-        assert_eq!(na.docs(), nb.docs(), "NEAR diverged: {w1} {w2}");
+        let phrase = EngineQuery::phrase(&format!("{w1} {w2}"));
+        let pa = docs(a, &phrase, "in-place phrase");
+        let pb = docs(b, &phrase, "segmented phrase");
+        assert_eq!(pa, pb, "PHRASE diverged: {w1} {w2}");
+        let near = EngineQuery::near(w1, w2, 3);
+        let na = docs(a, &near, "in-place near");
+        let nb = docs(b, &near, "segmented near");
+        assert_eq!(na, nb, "NEAR diverged: {w1} {w2}");
     }
     // LIKE: ranking and scores bit-exact.
-    let ha = a.more_like_this("alpha delta golf juliet", 8).expect("in-place like");
-    let hb = b.more_like_this("alpha delta golf juliet", 8).expect("segmented like");
+    let like = EngineQuery::like("alpha delta golf juliet", 8);
+    let ha = hits(a, &like, "in-place like");
+    let hb = hits(b, &like, "segmented like");
     assert_eq!(ha.len(), hb.len(), "LIKE lengths diverged");
     for (x, y) in ha.iter().zip(&hb) {
         assert_eq!(x.doc, y.doc, "LIKE ranking diverged");
@@ -90,8 +102,10 @@ fn assert_twins(a: &SearchEngine, b: &SearchEngine) {
     }
     // DF over the whole vocabulary.
     let terms: Vec<String> = VOCAB.iter().map(|w| w.to_string()).collect();
-    let da = a.term_dfs(&terms).expect("in-place dfs");
-    let db = b.term_dfs(&terms).expect("segmented dfs");
+    let dfs = EngineQuery::Dfs(terms);
+    let da = a.execute(&dfs).expect("in-place dfs");
+    let db = b.execute(&dfs).expect("segmented dfs");
+    assert!(matches!(da, QueryOutput::Dfs { .. }), "DF answered {da:?}");
     assert_eq!(da, db, "DF diverged");
     // DOC: stored text round-trips identically.
     for d in 1..=a.total_docs() as u32 {

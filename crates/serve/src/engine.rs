@@ -1,113 +1,24 @@
-//! The engine abstraction the serving layer sits on.
+//! The writer-side engine contract the serving layer sits on.
 //!
-//! [`ServeEngine`] is the split personality every servable engine must
-//! have: queries on `&self` (so N reader threads share one engine under a
-//! read lock) and updates on `&mut self` (so the single writer serializes
-//! through the write lock). Both of the repo's engines qualify —
-//! [`SearchEngine`] (volatile metadata) and [`DurableEngine`] (WAL +
-//! checkpoints, which additionally supports [`ServeEngine::checkpoint`]
-//! while serving).
-//!
-//! The read surface is one required method: [`ServeEngine::execute`] over
-//! the typed [`EngineQuery`]. The historical per-verb methods
-//! (`boolean_str`, `phrase`, …) remain as deprecated default shims over
-//! `execute`, so an engine implements exactly one dispatch point and new
-//! verbs (like BM25 `Rank`) need no trait change at all.
+//! [`ServeEngine`] is what [`crate::QueryService`]'s single writer needs
+//! from an engine: add documents, flush, checkpoint, ship or apply WAL
+//! records, and materialize the next [`EngineSnapshot`]. It has no read
+//! methods — every served query runs `EngineSnapshot::execute` on the
+//! published snapshot and never touches the live engine. Both of the
+//! repo's engines qualify: [`SearchEngine`] (volatile metadata) and
+//! [`DurableEngine`] (WAL + checkpoints, which additionally supports
+//! [`ServeEngine::checkpoint`] while serving).
 
 use invidx_core::cache::CacheStats;
 use invidx_core::index::BatchReport;
-use invidx_core::postings::PostingList;
-use invidx_core::types::{DocId, IndexError, Result};
+use invidx_core::types::DocId;
 use invidx_durable::WalRecord;
-use invidx_ir::{
-    DurableEngine, EngineQuery, EngineSnapshot, Hit, QueryOutput, SearchEngine,
-};
+use invidx_ir::{DurableEngine, EngineSnapshot, SearchEngine};
 
-/// The error a deprecated per-verb shim reports when a custom `execute`
-/// implementation answers with the wrong [`QueryOutput`] variant.
-fn mismatched(verb: &str, got: &QueryOutput) -> IndexError {
-    IndexError::Corruption(format!(
-        "ServeEngine::execute answered {verb} with a mismatched output variant: {got:?}"
-    ))
-}
-
-/// Query-on-`&self`, update-on-`&mut self` — the contract that lets
+/// Updates on `&mut self`, snapshots out — the contract that lets
 /// [`crate::QueryService`] serialize writers while serving reads from
 /// published copy-on-write snapshots.
 pub trait ServeEngine: Send + Sync + 'static {
-    /// Execute one typed query. This is the single read entry point; all
-    /// per-verb read methods are deprecated shims over it, so the output
-    /// variant is determined by the query variant.
-    fn execute(&self, query: &EngineQuery) -> Result<QueryOutput>;
-
-    /// Parse and evaluate a boolean query string.
-    #[deprecated(note = "construct an `EngineQuery::Boolean` and call `execute`")]
-    fn boolean_str(&self, query: &str) -> Result<PostingList> {
-        match self.execute(&EngineQuery::Boolean(query.to_string()))? {
-            QueryOutput::Docs(list) => Ok(list),
-            other => Err(mismatched("QUERY", &other)),
-        }
-    }
-
-    /// Phrase query: the words occur contiguously, in order.
-    #[deprecated(note = "construct an `EngineQuery::Phrase` and call `execute`")]
-    fn phrase(&self, phrase: &str) -> Result<PostingList> {
-        match self.execute(&EngineQuery::Phrase(phrase.to_string()))? {
-            QueryOutput::Docs(list) => Ok(list),
-            other => Err(mismatched("PHRASE", &other)),
-        }
-    }
-
-    /// Proximity query: both words within `window` positions.
-    #[deprecated(note = "construct an `EngineQuery::Near` and call `execute`")]
-    fn within(&self, w1: &str, w2: &str, window: u32) -> Result<PostingList> {
-        let query =
-            EngineQuery::Near { w1: w1.to_string(), w2: w2.to_string(), window };
-        match self.execute(&query)? {
-            QueryOutput::Docs(list) => Ok(list),
-            other => Err(mismatched("NEAR", &other)),
-        }
-    }
-
-    /// Top-k vector-model search seeded by a text.
-    #[deprecated(note = "construct an `EngineQuery::Like` and call `execute`")]
-    fn more_like_this(&self, text: &str, k: usize) -> Result<Vec<Hit>> {
-        match self.execute(&EngineQuery::Like { text: text.to_string(), k })? {
-            QueryOutput::Hits(hits) => Ok(hits),
-            other => Err(mismatched("LIKE", &other)),
-        }
-    }
-
-    /// The stored text of a document.
-    #[deprecated(note = "construct an `EngineQuery::Doc` and call `execute`")]
-    fn document(&self, doc: DocId) -> Result<Option<String>> {
-        match self.execute(&EngineQuery::Doc(doc))? {
-            QueryOutput::Text(text) => Ok(text),
-            other => Err(mismatched("DOC", &other)),
-        }
-    }
-
-    /// Document frequency per term (0 for unknown words) — the DF phase of
-    /// the router's two-phase distributed LIKE/RANK.
-    #[deprecated(note = "construct an `EngineQuery::Dfs` and call `execute`")]
-    fn term_dfs(&self, terms: &[String]) -> Result<Vec<u64>> {
-        match self.execute(&EngineQuery::Dfs(terms.to_vec()))? {
-            QueryOutput::Dfs { dfs, .. } => Ok(dfs),
-            other => Err(mismatched("DF", &other)),
-        }
-    }
-
-    /// Top-k scoring with caller-supplied per-term contributions, applied
-    /// in slice order (the router's WLIKE phase ships corpus-global idf
-    /// weights in canonical sorted-term order).
-    #[deprecated(note = "construct an `EngineQuery::WeightedLike` and call `execute`")]
-    fn weighted_like(&self, terms: &[(String, f64)], k: usize) -> Result<Vec<Hit>> {
-        match self.execute(&EngineQuery::WeightedLike { terms: terms.to_vec(), k })? {
-            QueryOutput::Hits(hits) => Ok(hits),
-            other => Err(mismatched("WLIKE", &other)),
-        }
-    }
-
     /// Add a document to the current batch (not yet visible as a flushed
     /// epoch; the serving writer always pairs adds with a flush).
     fn add_document(&mut self, text: &str) -> std::result::Result<DocId, String>;
@@ -175,10 +86,6 @@ pub trait ServeEngine: Send + Sync + 'static {
 }
 
 impl ServeEngine for SearchEngine {
-    fn execute(&self, query: &EngineQuery) -> Result<QueryOutput> {
-        SearchEngine::execute(self, query)
-    }
-
     fn add_document(&mut self, text: &str) -> std::result::Result<DocId, String> {
         SearchEngine::add_document(self, text).map_err(|e| e.to_string())
     }
@@ -208,10 +115,6 @@ impl ServeEngine for SearchEngine {
 }
 
 impl ServeEngine for DurableEngine {
-    fn execute(&self, query: &EngineQuery) -> Result<QueryOutput> {
-        DurableEngine::execute(self, query)
-    }
-
     fn add_document(&mut self, text: &str) -> std::result::Result<DocId, String> {
         DurableEngine::add_document(self, text).map_err(|e| e.to_string())
     }
@@ -257,45 +160,5 @@ impl ServeEngine for DurableEngine {
 
     fn vocabulary_size(&self) -> usize {
         DurableEngine::vocabulary_size(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use invidx_core::index::IndexConfig;
-    use invidx_disk::sparse_array;
-
-    /// The deprecated per-verb shims must answer exactly what `execute`
-    /// answers — they are the compatibility surface for older callers.
-    #[test]
-    #[allow(deprecated)]
-    fn per_verb_shims_agree_with_execute() {
-        let mut engine =
-            SearchEngine::create(sparse_array(2, 40_000, 256), IndexConfig::small()).unwrap();
-        engine.add_document("the cat sat on the mat").unwrap();
-        engine.add_document("the dog chased the cat").unwrap();
-        engine.flush().unwrap();
-        let serve: &dyn ServeEngine = &engine;
-        let direct = serve
-            .execute(&EngineQuery::Boolean("cat and dog".into()))
-            .unwrap();
-        assert_eq!(
-            serve.boolean_str("cat and dog").unwrap(),
-            direct.docs().unwrap().clone()
-        );
-        assert_eq!(
-            serve.term_dfs(&["cat".into(), "emu".into()]).unwrap(),
-            vec![2, 0]
-        );
-        assert_eq!(
-            serve.document(DocId(1)).unwrap().as_deref(),
-            Some("the cat sat on the mat")
-        );
-        let like = serve.more_like_this("cat dog", 4).unwrap();
-        let via_execute = serve
-            .execute(&EngineQuery::Like { text: "cat dog".into(), k: 4 })
-            .unwrap();
-        assert_eq!(like, via_execute.hits().unwrap().to_vec());
     }
 }

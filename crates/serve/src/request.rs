@@ -12,6 +12,8 @@
 //! answer at that same epoch.
 
 use crate::error::ServeError;
+use invidx_core::types::DocId;
+use invidx_ir::{Bm25Params, EngineQuery};
 
 /// A read request, executed by the reader pool under the shared lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,6 +171,42 @@ impl Request {
             "" => Err(bad("empty request".into())),
             other => Err(bad(format!("unknown verb {other:?}"))),
         }
+    }
+
+    /// The typed engine query this request asks for — the one place wire
+    /// verbs meet the engine's query surface. `None` for `STATS` and
+    /// `PING`, which the serving layer answers itself. `RANK` carries no
+    /// parameters on the wire, so it is scored with the given `bm25`.
+    pub fn engine_query(&self, bm25: Bm25Params) -> Option<EngineQuery> {
+        let decode = |terms: &[(String, u64)]| -> Vec<(String, f64)> {
+            terms.iter().map(|(t, bits)| (t.clone(), f64::from_bits(*bits))).collect()
+        };
+        Some(match self {
+            Self::Boolean(q) => EngineQuery::Boolean(q.clone()),
+            Self::Phrase(p) => EngineQuery::Phrase(p.clone()),
+            Self::Near(w1, w2, win) => {
+                EngineQuery::Near { w1: w1.clone(), w2: w2.clone(), window: *win }
+            }
+            Self::Like(k, text) => EngineQuery::Like { text: text.clone(), k: *k },
+            Self::Rank(k, text) => EngineQuery::Rank { text: text.clone(), k: *k, params: bm25 },
+            Self::Df(terms) => EngineQuery::Dfs(terms.clone()),
+            Self::WeightedLike(k, terms) => {
+                EngineQuery::WeightedLike { terms: decode(terms), k: *k }
+            }
+            Self::WeightedRank { k, k1_bits, b_bits, avgdl_bits, terms } => {
+                EngineQuery::WeightedRank {
+                    terms: decode(terms),
+                    k: *k,
+                    params: Bm25Params {
+                        k1: f64::from_bits(*k1_bits),
+                        b: f64::from_bits(*b_bits),
+                    },
+                    avgdl: f64::from_bits(*avgdl_bits),
+                }
+            }
+            Self::Doc(id) => EngineQuery::Doc(DocId(*id)),
+            Self::Stats | Self::Ping => return None,
+        })
     }
 
     /// The normalized cache key, or `None` for uncacheable requests

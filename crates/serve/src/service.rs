@@ -27,9 +27,8 @@ use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::request::{Payload, Request, Response, ServeStats};
 use crate::snapshot::{Published, ReadGate, ServeSnapshot, ShardedCache};
-use invidx_core::concurrent::EpochCounter;
+use invidx_core::epoch::EpochCounter;
 use invidx_core::index::BatchReport;
-use invidx_core::types::DocId;
 use invidx_ir::{EngineQuery, QueryOutput};
 use invidx_obs::names;
 use parking_lot::Mutex;
@@ -479,9 +478,9 @@ impl<E: ServeEngine> QueryService<E> {
         Ok(Response { epoch, payload })
     }
 
-    /// Translate the wire request into one typed [`EngineQuery`] and run
-    /// it through the snapshot's single `execute` entry point — the wire
-    /// verbs and the engine query surface now meet in exactly one place.
+    /// Translate the wire request into one typed [`EngineQuery`]
+    /// ([`Request::engine_query`]) and run it through the snapshot's
+    /// `execute`.
     fn run(&self, snap: &ServeSnapshot, request: &Request) -> Result<Payload, ServeError> {
         if !self.read_floor.is_zero() {
             if let Request::Boolean(_)
@@ -498,44 +497,21 @@ impl<E: ServeEngine> QueryService<E> {
             invidx_core::types::IndexError::InvalidConfig(msg) => ServeError::BadRequest(msg),
             other => ServeError::Engine(other.to_string()),
         };
-        let decode = |terms: &[(String, u64)]| -> Vec<(String, f64)> {
-            terms.iter().map(|(t, bits)| (t.clone(), f64::from_bits(*bits))).collect()
+        let Some(query) = request.engine_query(self.bm25) else {
+            return match request {
+                Request::Stats => Ok(Payload::Stats(self.stats_from(snap))),
+                Request::Ping => Ok(Payload::Pong),
+                other => Err(ServeError::BadRequest(format!("{} is not a query", other.to_wire()))),
+            };
         };
-        let query = match request {
-            Request::Boolean(q) => EngineQuery::Boolean(q.clone()),
-            Request::Phrase(p) => EngineQuery::Phrase(p.clone()),
-            Request::Near(w1, w2, win) => {
-                EngineQuery::Near { w1: w1.clone(), w2: w2.clone(), window: *win }
+        if let EngineQuery::Rank { k, .. } = &query {
+            if *k > self.rank_k {
+                return Err(ServeError::BadRequest(format!(
+                    "RANK k {k} exceeds the configured ceiling {}",
+                    self.rank_k
+                )));
             }
-            Request::Like(k, text) => EngineQuery::Like { text: text.clone(), k: *k },
-            Request::Rank(k, text) => {
-                if *k > self.rank_k {
-                    return Err(ServeError::BadRequest(format!(
-                        "RANK k {k} exceeds the configured ceiling {}",
-                        self.rank_k
-                    )));
-                }
-                EngineQuery::Rank { text: text.clone(), k: *k, params: self.bm25 }
-            }
-            Request::Df(terms) => EngineQuery::Dfs(terms.clone()),
-            Request::WeightedLike(k, terms) => {
-                EngineQuery::WeightedLike { terms: decode(terms), k: *k }
-            }
-            Request::WeightedRank { k, k1_bits, b_bits, avgdl_bits, terms } => {
-                EngineQuery::WeightedRank {
-                    terms: decode(terms),
-                    k: *k,
-                    params: invidx_ir::Bm25Params {
-                        k1: f64::from_bits(*k1_bits),
-                        b: f64::from_bits(*b_bits),
-                    },
-                    avgdl: f64::from_bits(*avgdl_bits),
-                }
-            }
-            Request::Doc(id) => EngineQuery::Doc(DocId(*id)),
-            Request::Stats => return Ok(Payload::Stats(self.stats_from(snap))),
-            Request::Ping => return Ok(Payload::Pong),
-        };
+        }
         Ok(match snap.view.execute(&query).map_err(engine_err)? {
             QueryOutput::Docs(list) => Payload::Docs(to_ids(&list)),
             QueryOutput::Hits(hits) => {
@@ -760,6 +736,7 @@ fn to_ids(list: &invidx_core::postings::PostingList) -> Vec<u32> {
 mod tests {
     use super::*;
     use invidx_core::index::IndexConfig;
+    use invidx_core::types::DocId;
     use invidx_disk::sparse_array;
     use invidx_ir::SearchEngine;
 
@@ -775,29 +752,8 @@ mod tests {
     /// (service snapshot → wire render → wire parse).
     #[test]
     fn stats_surface_engine_block_cache_counters() {
-        use invidx_core::postings::PostingList;
         struct Stub;
         impl ServeEngine for Stub {
-            fn execute(
-                &self,
-                query: &EngineQuery,
-            ) -> invidx_core::types::Result<QueryOutput> {
-                Ok(match query {
-                    EngineQuery::Boolean(_)
-                    | EngineQuery::Phrase(_)
-                    | EngineQuery::Near { .. } => {
-                        QueryOutput::Docs(PostingList::from_sorted(vec![]))
-                    }
-                    EngineQuery::Like { .. }
-                    | EngineQuery::Rank { .. }
-                    | EngineQuery::WeightedLike { .. }
-                    | EngineQuery::WeightedRank { .. } => QueryOutput::Hits(vec![]),
-                    EngineQuery::Dfs(terms) => {
-                        QueryOutput::Dfs { docs: 0, tokens: 0, dfs: vec![0; terms.len()] }
-                    }
-                    EngineQuery::Doc(_) => QueryOutput::Text(None),
-                })
-            }
             fn add_document(&mut self, _: &str) -> Result<DocId, String> {
                 Err("unused".into())
             }
@@ -886,9 +842,11 @@ mod tests {
         let Payload::Hits(hits) = resp.payload else { panic!("expected hits") };
         assert_eq!(hits.len(), 2);
         let oracle = s.with_read(|_, e| {
-            e.rank("cat dog", 2, invidx_ir::Bm25Params { k1: 1.2, b: 0.75 }).unwrap()
+            let params = invidx_ir::Bm25Params { k1: 1.2, b: 0.75 };
+            e.execute(&EngineQuery::Rank { text: "cat dog".into(), k: 2, params }).unwrap()
         });
-        for (got, want) in hits.iter().zip(&oracle) {
+        assert_eq!(oracle.hits().unwrap().len(), 2);
+        for (got, want) in hits.iter().zip(oracle.hits().unwrap()) {
             assert_eq!(
                 (got.0, got.1.to_bits()),
                 (want.doc.0, want.score.to_bits()),

@@ -14,14 +14,18 @@
 
 use invidx_core::cache::CacheStats;
 use invidx_core::index::{BatchReport, IndexConfig};
-use invidx_core::types::{DocId, Result as IrResult};
+use invidx_core::types::DocId;
 use invidx_durable::{DurableOptions, StoreGeometry, WalRecord};
-use invidx_ir::{DurableEngine, EngineQuery, EngineSnapshot, QueryOutput};
+use invidx_ir::{DurableEngine, EngineSnapshot};
 use invidx_obs::names;
 use invidx_serve::{Payload, QueryService, Request, ServeConfig, ServeEngine};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Both tests defer a publication, and the deferral counter is
+/// process-global: run them one at a time so `before + 1` is exact.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn tmpdir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -50,10 +54,6 @@ struct FlakySnapshots {
 }
 
 impl ServeEngine for FlakySnapshots {
-    fn execute(&self, query: &EngineQuery) -> IrResult<QueryOutput> {
-        self.inner.execute(query)
-    }
-
     fn add_document(&mut self, text: &str) -> Result<DocId, String> {
         self.inner.add_document(text).map_err(|e| e.to_string())
     }
@@ -112,6 +112,7 @@ fn docs(service: &QueryService<FlakySnapshots>, word: &str) -> (u64, Vec<u32>) {
 
 #[test]
 fn deferred_publication_keeps_epoch_and_replication_in_step() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let deferred = invidx_obs::registry().counter(names::SERVE_PUBLISH_DEFERRED);
 
     let primary =
@@ -149,6 +150,7 @@ fn deferred_publication_keeps_epoch_and_replication_in_step() {
 
 #[test]
 fn metrics_scrape_republishes_a_deferred_snapshot() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let primary =
         QueryService::with_config(create(&tmpdir("scrape-primary")), serve_cfg()).unwrap();
     primary.ingest_batch(&["whale squid"]).unwrap();

@@ -12,7 +12,7 @@
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_durable::{DurableOptions, StoreGeometry};
-use invidx_ir::{DurableEngine, EngineQuery, QueryOutput, SearchEngine};
+use invidx_ir::{Bm25Params, DurableEngine, EngineQuery, QueryOutput, SearchEngine};
 use invidx_serve::{
     Frontend, Payload, QueryService, Request, ServeConfig, ServeEngine,
 };
@@ -53,16 +53,14 @@ fn query_mix() -> Vec<Request> {
     qs
 }
 
-fn run_request<E: ServeEngine>(engine: &E, req: &Request) -> Vec<u32> {
-    let query = match req {
-        Request::Boolean(q) => EngineQuery::Boolean(q.clone()),
-        Request::Phrase(p) => EngineQuery::Phrase(p.clone()),
-        Request::Near(w1, w2, win) => {
-            EngineQuery::Near { w1: w1.clone(), w2: w2.clone(), window: *win }
-        }
-        other => panic!("not an oracle query: {other:?}"),
-    };
-    match engine.execute(&query).unwrap() {
+/// The engine query an oracle request maps to — the same mapping the
+/// service applies.
+fn oracle_query(req: &Request) -> EngineQuery {
+    req.engine_query(Bm25Params::default()).expect("an engine query")
+}
+
+fn doc_ids(out: QueryOutput) -> Vec<u32> {
+    match out {
         QueryOutput::Docs(list) => list.docs().iter().map(|d| d.0).collect(),
         other => panic!("oracle query answered {other:?}"),
     }
@@ -74,7 +72,10 @@ fn build_oracle(schedule: &[Vec<String>], queries: &[Request]) -> Vec<HashMap<St
     let mut engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
     let mut oracle = Vec::with_capacity(schedule.len() + 1);
     let row = |engine: &SearchEngine| {
-        queries.iter().map(|q| (q.to_wire(), run_request(engine, q))).collect()
+        queries
+            .iter()
+            .map(|q| (q.to_wire(), doc_ids(engine.execute(&oracle_query(q)).unwrap())))
+            .collect()
     };
     oracle.push(row(&engine));
     for batch in schedule {
@@ -229,7 +230,8 @@ fn serving_continues_while_checkpointing() {
     assert_eq!(ServeEngine::total_docs(&reopened), total);
     assert_eq!(total, 6 * 4);
     for (req, want) in &oracle[oracle.len() - 1] {
-        let got = run_request(&reopened, &Request::parse(req).unwrap());
+        let query = oracle_query(&Request::parse(req).unwrap());
+        let got = doc_ids(reopened.execute(&query).unwrap());
         assert_eq!(&got, want, "{req} after recovery");
     }
     std::fs::remove_dir_all(&dir).ok();

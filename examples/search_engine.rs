@@ -9,7 +9,7 @@
 use invidx::core::index::IndexConfig;
 use invidx::core::policy::Policy;
 use invidx::disk::sparse_array;
-use invidx::ir::SearchEngine;
+use invidx::ir::{EngineQuery, SearchEngine};
 
 const ARTICLES: &[(&str, &str)] = &[
     ("pets-1", "The cat and the dog shared a basket while the mouse watched from the wall."),
@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The paper's boolean example.
     for query in ["(cat and dog) or mouse", "inverted and lists", "updates and not weekend", "disks or scsi"] {
-        let hits = engine.boolean_str(query)?;
+        let out = engine.execute(&EngineQuery::boolean(query))?;
+        let hits = out.docs().expect("a boolean query answers with documents");
         println!(
             "boolean {query:32} -> {:?}",
             hits.docs().iter().map(|&d| label(d)).collect::<Vec<_>>()
@@ -50,9 +51,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Vector-space: "a query may be derived from a document".
     println!();
     for probe in ["incremental inverted index updates", "cat mouse cheese"] {
-        let hits = engine.more_like_this(probe, 3)?;
+        let out = engine.execute(&EngineQuery::like(probe, 3))?;
         println!("vector  {probe:32} ->");
-        for h in hits {
+        for h in out.hits().expect("LIKE answers with scored hits") {
             println!("    {:8} score {:.3}", label(h.doc), h.score);
         }
     }

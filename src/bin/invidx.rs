@@ -23,17 +23,14 @@
 //! renamed checkpoint (`index.ckpt`), and a plain-text config
 //! (`invidx.conf`). Every `add` is one WAL-committed batch — kill the
 //! process at any point and the next command recovers to the last
-//! committed batch. `init --legacy` produces the old volatile layout
-//! (`disk<N>.bin` + `engine.meta` rewritten after every mutating command),
-//! which existing index directories keep using.
+//! committed batch.
 
 use invidx::core::codec::PostingsCodec;
-use invidx::core::index::{DualIndex, EngineKind, IndexConfig};
+use invidx::core::index::{EngineKind, IndexConfig};
 use invidx::core::policy::Policy;
 use invidx::core::types::DocId;
-use invidx::disk::{BlockDevice, Disk, DiskArray, FileDevice, FitStrategy, FreeList};
 use invidx::durable::{DurableOptions, StoreGeometry};
-use invidx::ir::{Bm25Params, DurableEngine, SearchEngine};
+use invidx::ir::{DurableEngine, EngineQuery, QueryOutput};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -183,152 +180,12 @@ impl Conf {
     }
 }
 
-/// A durable store directory carries its checkpoint file; the legacy
-/// layout never has one.
+/// A durable store directory carries its checkpoint file.
 fn is_durable(dir: &Path) -> bool {
     dir.join("index.ckpt").exists()
 }
 
-fn device_array(dir: &Path, conf: &Conf, create: bool) -> Result<DiskArray, String> {
-    let disks = (0..conf.disks)
-        .map(|d| {
-            let path = dir.join(format!("disk{d}.bin"));
-            let device: Box<dyn BlockDevice> = if create {
-                Box::new(
-                    FileDevice::create(&path, conf.blocks, conf.block_size)
-                        .map_err(|e| format!("cannot create {}: {e}", path.display()))?,
-                )
-            } else {
-                Box::new(
-                    FileDevice::open(&path, conf.block_size)
-                        .map_err(|e| format!("cannot open {}: {e}", path.display()))?,
-                )
-            };
-            Ok(Disk {
-                device,
-                alloc: Box::new(FreeList::new(conf.blocks, FitStrategy::FirstFit)),
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(DiskArray::new(disks))
-}
-
-/// The engine behind a CLI index directory: WAL-backed for durable stores,
-/// `engine.meta`-backed for legacy ones.
-enum Engine {
-    Legacy(Box<SearchEngine>),
-    Durable(Box<DurableEngine>),
-}
-
-impl Engine {
-    fn add_document(&mut self, text: &str) -> Result<DocId, String> {
-        match self {
-            Self::Legacy(e) => e.add_document(text).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.add_document(text).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn add_documents(&mut self, texts: &[&str]) -> Result<Vec<DocId>, String> {
-        match self {
-            Self::Legacy(e) => e.add_documents(texts).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.add_documents(texts).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn flush(&mut self) -> Result<invidx::core::index::BatchReport, String> {
-        match self {
-            Self::Legacy(e) => e.flush().map_err(|e| e.to_string()),
-            Self::Durable(e) => e.flush().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn boolean_str(&self, query: &str) -> Result<invidx::core::postings::PostingList, String> {
-        match self {
-            Self::Legacy(e) => e.boolean_str(query).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.boolean_str(query).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn phrase(&self, phrase: &str) -> Result<invidx::core::postings::PostingList, String> {
-        match self {
-            Self::Legacy(e) => e.phrase(phrase).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.phrase(phrase).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn within(
-        &self,
-        w1: &str,
-        w2: &str,
-        window: u32,
-    ) -> Result<invidx::core::postings::PostingList, String> {
-        match self {
-            Self::Legacy(e) => e.within(w1, w2, window).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.within(w1, w2, window).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn more_like_this(&self, text: &str, k: usize) -> Result<Vec<invidx::ir::Hit>, String> {
-        match self {
-            Self::Legacy(e) => e.more_like_this(text, k).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.more_like_this(text, k).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn rank(&self, text: &str, k: usize, params: Bm25Params) -> Result<Vec<invidx::ir::Hit>, String> {
-        match self {
-            Self::Legacy(e) => e.rank(text, k, params).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.rank(text, k, params).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn document(&self, doc: DocId) -> Result<Option<String>, String> {
-        match self {
-            Self::Legacy(e) => e.document(doc).map_err(|e| e.to_string()),
-            Self::Durable(e) => e.document(doc).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn compact(&mut self) -> Result<invidx::core::index::CompactReport, String> {
-        match self {
-            Self::Legacy(e) => e.index_mut().compact().map_err(|e| e.to_string()),
-            Self::Durable(e) => e.compact().map_err(|e| e.to_string()),
-        }
-    }
-
-    fn total_docs(&self) -> u64 {
-        match self {
-            Self::Legacy(e) => e.total_docs(),
-            Self::Durable(e) => e.total_docs(),
-        }
-    }
-
-    fn vocabulary_size(&self) -> usize {
-        match self {
-            Self::Legacy(e) => e.vocabulary_size(),
-            Self::Durable(e) => e.vocabulary_size(),
-        }
-    }
-
-    /// The core dual-structure index (stats, gauges). For segmented
-    /// engines this is the L0 index; sealed segments live above it.
-    fn core_index(&self) -> &DualIndex {
-        match self {
-            Self::Legacy(e) => e.index(),
-            Self::Durable(e) => e.index().inner(),
-        }
-    }
-
-    /// Tiered-store summary; `None` on in-place engines.
-    fn segment_stats(&self) -> Option<invidx::segment::SegmentStats> {
-        match self {
-            Self::Legacy(e) => e.segment_stats(),
-            Self::Durable(e) => e.segment_stats(),
-        }
-    }
-}
-
-fn open_engine(dir: &Path) -> Result<(Engine, Conf), String> {
+fn open_engine(dir: &Path) -> Result<(DurableEngine, Conf), String> {
     open_engine_with(dir, DurableOptions::default(), None)
 }
 
@@ -336,106 +193,22 @@ fn open_engine_with(
     dir: &Path,
     options: DurableOptions,
     ingest_threads: Option<usize>,
-) -> Result<(Engine, Conf), String> {
+) -> Result<(DurableEngine, Conf), String> {
     let mut conf = Conf::load(dir)?;
     if let Some(threads) = ingest_threads {
         conf.ingest_threads = threads;
     }
-    if is_durable(dir) {
-        let engine = DurableEngine::open(dir, conf.index_config()?, options)
-            .map_err(|e| format!("cannot recover index: {e}"))?;
-        return Ok((Engine::Durable(Box::new(engine)), conf));
+    if !is_durable(dir) && dir.join("engine.meta").exists() {
+        return Err(format!(
+            "{} holds the retired legacy layout (engine.meta, no WAL or checkpoint), which \
+             this version cannot open: `invidx init` a new directory and `invidx add` the \
+             documents again",
+            dir.display()
+        ));
     }
-    let meta = std::fs::read(dir.join("engine.meta"))
-        .map_err(|e| format!("cannot read engine.meta: {e}"))?;
-    let array = device_array(dir, &conf, false)?;
-    let engine = SearchEngine::open(array, conf.index_config()?, &meta)
-        .map_err(|e| format!("cannot open index: {e}"))?;
-    Ok((Engine::Legacy(Box::new(engine)), conf))
-}
-
-/// Make the engine state survive the process: legacy engines rewrite
-/// `engine.meta`; durable engines already committed through the WAL.
-fn persist(dir: &Path, engine: &Engine) -> Result<(), String> {
-    match engine {
-        Engine::Legacy(e) => std::fs::write(dir.join("engine.meta"), e.save_meta())
-            .map_err(|e| format!("cannot write engine.meta: {e}")),
-        Engine::Durable(_) => Ok(()),
-    }
-}
-
-/// A CLI index directory wired into the serving layer: queries fan out to
-/// whichever engine variant lives in the directory, and every served
-/// `FLUSH` also persists legacy metadata so the TCP write path offers the
-/// same durability as the corresponding CLI command.
-struct ServedEngine {
-    engine: Engine,
-    dir: PathBuf,
-}
-
-impl invidx::serve::ServeEngine for ServedEngine {
-    fn execute(
-        &self,
-        query: &invidx::ir::EngineQuery,
-    ) -> invidx::core::Result<invidx::ir::QueryOutput> {
-        match &self.engine {
-            Engine::Legacy(e) => e.execute(query),
-            Engine::Durable(e) => e.execute(query),
-        }
-    }
-
-    fn add_document(&mut self, text: &str) -> Result<DocId, String> {
-        self.engine.add_document(text)
-    }
-
-    fn flush(&mut self) -> Result<invidx::core::index::BatchReport, String> {
-        let report = self.engine.flush()?;
-        persist(&self.dir, &self.engine)?;
-        Ok(report)
-    }
-
-    fn checkpoint(&mut self) -> Result<Option<u64>, String> {
-        match &mut self.engine {
-            Engine::Legacy(_) => Ok(None),
-            Engine::Durable(e) => e.checkpoint().map(Some).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn block_cache_stats(&self) -> Option<invidx::core::cache::CacheStats> {
-        match &self.engine {
-            Engine::Legacy(e) => e.cache_stats(),
-            Engine::Durable(e) => e.cache_stats(),
-        }
-    }
-
-    fn wal_bytes(&self) -> Option<u64> {
-        match &self.engine {
-            Engine::Legacy(_) => None,
-            Engine::Durable(e) => Some(e.index().wal_size()),
-        }
-    }
-
-    fn batches(&self) -> u64 {
-        self.engine.core_index().batches()
-    }
-
-    fn snapshot(
-        &mut self,
-        prev: Option<&invidx::ir::EngineSnapshot>,
-    ) -> Result<invidx::ir::EngineSnapshot, String> {
-        match &mut self.engine {
-            Engine::Legacy(e) => e.snapshot(prev).map_err(|e| e.to_string()),
-            Engine::Durable(e) => e.snapshot(prev).map_err(|e| e.to_string()),
-        }
-    }
-
-    fn total_docs(&self) -> u64 {
-        self.engine.total_docs()
-    }
-
-    fn vocabulary_size(&self) -> usize {
-        self.engine.vocabulary_size()
-    }
+    let engine = DurableEngine::open(dir, conf.index_config()?, options)
+        .map_err(|e| format!("cannot recover index: {e}"))?;
+    Ok((engine, conf))
 }
 
 /// Serve the index over TCP until killed: line protocol, bounded admission
@@ -507,22 +280,17 @@ fn cmd_serve(dir: &Path, args: &[String]) -> Result<(), String> {
     }
     let config = builder.build().map_err(|e| e.to_string())?;
     let (engine, _) = open_engine(dir)?;
-    let durability = match &engine {
-        Engine::Legacy(_) => "legacy: engine.meta rewritten on every FLUSH",
-        Engine::Durable(_) => "durable: WAL + CHECKPOINT verb available",
-    };
-    let served = ServedEngine { engine, dir: dir.to_path_buf() };
     println!(
-        "serving {} ({} docs, {} words; {durability})",
+        "serving {} ({} docs, {} words; durable: WAL + CHECKPOINT verb available)",
         dir.display(),
-        invidx::serve::ServeEngine::total_docs(&served),
-        invidx::serve::ServeEngine::vocabulary_size(&served),
+        engine.total_docs(),
+        engine.vocabulary_size(),
     );
     // Anchor serving epochs at the store's committed batch count so they
     // stay comparable across restarts (and with any replica tailing us).
-    let epoch = invidx::serve::ServeEngine::batches(&served);
+    let epoch = engine.index().batches();
     let service = std::sync::Arc::new(
-        QueryService::with_config_at(served, config, epoch).map_err(|e| e.to_string())?,
+        QueryService::with_config_at(engine, config, epoch).map_err(|e| e.to_string())?,
     );
     let server = Server::bind(&addr, service, config)
         .map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -775,7 +543,6 @@ fn cmd_route(dir: &Path, args: &[String]) -> Result<(), String> {
 
 fn cmd_init(dir: &Path, args: &[String]) -> Result<(), String> {
     let mut conf = Conf::defaults();
-    let mut legacy = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -875,35 +642,17 @@ fn cmd_init(dir: &Path, args: &[String]) -> Result<(), String> {
                 };
                 i += 2;
             }
-            "--legacy" => {
-                legacy = true;
-                i += 1;
-            }
             other => return Err(format!("unknown init option {other:?}")),
         }
-    }
-    if legacy && matches!(conf.engine, EngineKind::Segmented { .. }) {
-        return Err("the segmented engine needs the durable layout; drop --legacy".into());
     }
     std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
     if dir.join("invidx.conf").exists() {
         return Err(format!("{} is already an index", dir.display()));
     }
-    let mode = if legacy {
-        let array = device_array(dir, &conf, true)?;
-        let mut engine = SearchEngine::create(array, conf.index_config()?)
-            .map_err(|e| format!("cannot create index: {e}"))?;
-        // An empty first flush establishes the superblock/recovery point.
-        engine.flush().map_err(|e| format!("initial flush: {e}"))?;
-        persist(dir, &Engine::Legacy(Box::new(engine)))?;
-        "legacy (engine.meta)"
-    } else {
-        // Creation writes the batch-0 checkpoint, so the store is already
-        // recoverable before the first add.
-        DurableEngine::create(dir, conf.index_config()?, conf.geometry(), DurableOptions::default())
-            .map_err(|e| format!("cannot create index: {e}"))?;
-        "durable (WAL + checkpoints)"
-    };
+    // Creation writes the batch-0 checkpoint, so the store is already
+    // recoverable before the first add.
+    DurableEngine::create(dir, conf.index_config()?, conf.geometry(), DurableOptions::default())
+        .map_err(|e| format!("cannot create index: {e}"))?;
     conf.save(dir).map_err(|e| e.to_string())?;
     let engine = match conf.engine {
         EngineKind::InPlace => "in-place".to_string(),
@@ -912,7 +661,7 @@ fn cmd_init(dir: &Path, args: &[String]) -> Result<(), String> {
         }
     };
     println!(
-        "initialized {} ({} disks x {} blocks x {} B, policy '{}', {engine}, {mode})",
+        "initialized {} ({} disks x {} blocks x {} B, policy '{}', {engine}, durable (WAL + checkpoints))",
         dir.display(),
         conf.disks,
         conf.blocks,
@@ -967,7 +716,6 @@ fn cmd_add(dir: &Path, args: &[String]) -> Result<(), String> {
         println!("{f} -> doc {}", doc.0);
     }
     let report = engine.flush().map_err(|e| format!("flush: {e}"))?;
-    persist(dir, &engine)?;
     println!(
         "batch {}: {} words ({} new), {} postings, {} evictions to long lists",
         report.batch, report.words, report.new_words, report.postings, report.evictions
@@ -975,11 +723,37 @@ fn cmd_add(dir: &Path, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_search(dir: &Path, query: &str) -> Result<(), String> {
+/// Run one typed query against the index and print its answer.
+fn cmd_query(dir: &Path, query: EngineQuery) -> Result<(), String> {
     let (engine, _) = open_engine(dir)?;
-    let hits = engine.boolean_str(query).map_err(|e| format!("query: {e}"))?;
-    print_docs(hits.docs());
+    match engine.execute(&query).map_err(|e| format!("query: {e}"))? {
+        QueryOutput::Docs(list) => print_docs(list.docs()),
+        QueryOutput::Hits(hits) => {
+            if hits.is_empty() {
+                println!("no matches");
+            }
+            for h in hits {
+                println!("doc {}\tscore {:.3}", h.doc.0, h.score);
+            }
+        }
+        QueryOutput::Dfs { docs, tokens, dfs } => {
+            println!("{docs} docs, {tokens} tokens, document frequencies {dfs:?}")
+        }
+        QueryOutput::Text(Some(text)) => println!("{text}"),
+        QueryOutput::Text(None) => match query {
+            EngineQuery::Doc(doc) => println!("doc {} not found", doc.0),
+            _ => println!("not found"),
+        },
+    }
     Ok(())
+}
+
+/// Parse one numeric command-line operand.
+fn operand<T: std::str::FromStr>(text: &str, what: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    text.parse().map_err(|e| format!("{what}: {e}"))
 }
 
 /// Batch query mode: recover/open the engine once, then run every line of
@@ -998,12 +772,13 @@ fn cmd_search_stdin(dir: &Path) -> Result<(), String> {
             continue;
         }
         queries += 1;
-        match engine.boolean_str(query) {
-            Ok(hits) if hits.docs().is_empty() => println!("{query}\t-"),
-            Ok(hits) => println!(
+        match engine.execute(&EngineQuery::boolean(query)) {
+            Ok(QueryOutput::Docs(hits)) if hits.is_empty() => println!("{query}\t-"),
+            Ok(QueryOutput::Docs(hits)) => println!(
                 "{query}\t{}",
                 hits.docs().iter().map(|d| d.0.to_string()).collect::<Vec<_>>().join(",")
             ),
+            Ok(other) => println!("{query}\terror: unexpected answer {other:?}"),
             Err(e) => println!("{query}\terror: {e}"),
         }
     }
@@ -1014,62 +789,9 @@ fn cmd_search_stdin(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_phrase(dir: &Path, phrase: &str) -> Result<(), String> {
-    let (engine, _) = open_engine(dir)?;
-    let hits = engine.phrase(phrase).map_err(|e| format!("query: {e}"))?;
-    print_docs(hits.docs());
-    Ok(())
-}
-
-fn cmd_near(dir: &Path, w1: &str, w2: &str, window: &str) -> Result<(), String> {
-    let window: u32 = window.parse().map_err(|e| format!("window: {e}"))?;
-    let (engine, _) = open_engine(dir)?;
-    let hits = engine.within(w1, w2, window).map_err(|e| format!("query: {e}"))?;
-    print_docs(hits.docs());
-    Ok(())
-}
-
-fn cmd_like(dir: &Path, text: &str, k: Option<&String>) -> Result<(), String> {
-    let k: usize = k.map(|s| s.parse()).transpose().map_err(|e| format!("k: {e}"))?.unwrap_or(10);
-    let (engine, _) = open_engine(dir)?;
-    let hits = engine.more_like_this(text, k).map_err(|e| format!("query: {e}"))?;
-    if hits.is_empty() {
-        println!("no matches");
-    }
-    for h in hits {
-        println!("doc {}\tscore {:.3}", h.doc.0, h.score);
-    }
-    Ok(())
-}
-
-/// BM25 ranked top-k (WAND early termination; see `crates/ir/src/rank.rs`).
-fn cmd_rank(dir: &Path, text: &str, k: Option<&String>) -> Result<(), String> {
-    let k: usize = k.map(|s| s.parse()).transpose().map_err(|e| format!("k: {e}"))?.unwrap_or(10);
-    let (engine, _) = open_engine(dir)?;
-    let hits = engine.rank(text, k, Bm25Params::default()).map_err(|e| format!("query: {e}"))?;
-    if hits.is_empty() {
-        println!("no matches");
-    }
-    for h in hits {
-        println!("doc {}\tscore {:.3}", h.doc.0, h.score);
-    }
-    Ok(())
-}
-
-fn cmd_show(dir: &Path, id: &str) -> Result<(), String> {
-    let id: u32 = id.parse().map_err(|e| format!("doc id: {e}"))?;
-    let (engine, _) = open_engine(dir)?;
-    match engine.document(DocId(id)).map_err(|e| format!("load: {e}"))? {
-        Some(text) => println!("{text}"),
-        None => println!("doc {id} not found"),
-    }
-    Ok(())
-}
-
 fn cmd_compact(dir: &Path) -> Result<(), String> {
     let (mut engine, _) = open_engine(dir)?;
     let report = engine.compact().map_err(|e| format!("compact: {e}"))?;
-    persist(dir, &engine)?;
     println!(
         "compacted {} long lists: {} -> {} chunks, {} blocks freed",
         report.lists_rewritten, report.chunks_before, report.chunks_after, report.blocks_freed
@@ -1080,11 +802,7 @@ fn cmd_compact(dir: &Path) -> Result<(), String> {
 /// Force a checkpoint now: snapshot the index + engine state and reset the
 /// WAL, so the next open restores without replay.
 fn cmd_checkpoint(dir: &Path) -> Result<(), String> {
-    let (engine, _) = open_engine(dir)?;
-    let Engine::Durable(mut engine) = engine else {
-        return Err("legacy index: checkpoints need a durable store (re-init without --legacy)"
-            .into());
-    };
+    let (mut engine, _) = open_engine(dir)?;
     let bytes = engine.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
     println!(
         "checkpoint at batch {} ({bytes} B); WAL reset to {} B",
@@ -1100,9 +818,6 @@ fn cmd_checkpoint(dir: &Path) -> Result<(), String> {
 /// whether a torn tail was truncated.
 fn cmd_recover(dir: &Path) -> Result<(), String> {
     let (engine, _) = open_engine(dir)?;
-    let Engine::Durable(engine) = engine else {
-        return Err("legacy index: nothing to recover (no WAL); durable stores only".into());
-    };
     let info = engine.recovery().copied().unwrap_or_default();
     println!("checkpoint batch    {}", info.checkpoint_batch);
     println!("replayed records    {}", info.replayed_records);
@@ -1119,7 +834,9 @@ fn cmd_recover(dir: &Path) -> Result<(), String> {
 
 fn cmd_stats(dir: &Path, metrics: bool) -> Result<(), String> {
     let (engine, conf) = open_engine(dir)?;
-    let ix = engine.core_index();
+    // The core dual-structure index; for segmented engines this is the L0
+    // index, with sealed segments above it.
+    let ix = engine.index().inner();
     let d = ix.directory();
     println!("policy              {}", conf.policy);
     match conf.engine {
@@ -1128,14 +845,9 @@ fn cmd_stats(dir: &Path, metrics: bool) -> Result<(), String> {
             println!("engine              segmented (l0 budget {l0_budget} B, fanout {fanout})")
         }
     }
-    match &engine {
-        Engine::Legacy(_) => println!("durability          legacy (engine.meta)"),
-        Engine::Durable(e) => {
-            println!("durability          WAL + checkpoints");
-            println!("wal size            {} B", e.index().wal_size());
-            println!("last checkpoint     batch {}", e.index().last_checkpoint_batch());
-        }
-    }
+    println!("durability          WAL + checkpoints");
+    println!("wal size            {} B", engine.index().wal_size());
+    println!("last checkpoint     batch {}", engine.index().last_checkpoint_batch());
     if let Some(ss) = engine.segment_stats() {
         println!("manifest generation {}", ss.generation);
         println!("sealed segments     {}", ss.segments);
@@ -1197,9 +909,9 @@ fn cmd_stats(dir: &Path, metrics: bool) -> Result<(), String> {
 /// Publish the opened index's state into the metric registry as gauges, so
 /// the rendered registry describes the on-disk index and not just whatever
 /// counters this process happened to touch.
-fn publish_index_gauges(engine: &Engine, conf: &Conf) {
+fn publish_index_gauges(engine: &DurableEngine, conf: &Conf) {
     use invidx::obs::gauge;
-    let ix = engine.core_index();
+    let ix = engine.index().inner();
     let d = ix.directory();
     gauge!("index_documents").set(engine.total_docs() as i64);
     gauge!("index_vocabulary").set(engine.vocabulary_size() as i64);
@@ -1213,10 +925,8 @@ fn publish_index_gauges(engine: &Engine, conf: &Conf) {
     gauge!("index_long_blocks").set(d.total_blocks() as i64);
     gauge!("index_long_raw_bytes").set((d.total_postings() * 4) as i64);
     gauge!("index_long_stored_bytes").set(d.total_stored_bytes() as i64);
-    if let Engine::Durable(e) = engine {
-        gauge!("index_wal_bytes").set(e.index().wal_size() as i64);
-        gauge!("index_last_checkpoint_batch").set(e.index().last_checkpoint_batch() as i64);
-    }
+    gauge!("index_wal_bytes").set(engine.index().wal_size() as i64);
+    gauge!("index_last_checkpoint_batch").set(engine.index().last_checkpoint_batch() as i64);
     if let Some(ss) = engine.segment_stats() {
         gauge!("index_segments").set(ss.segments as i64);
         gauge!("index_segment_blocks").set(ss.segment_blocks as i64);
@@ -1279,8 +989,11 @@ fn cmd_metrics(dir: &Path, args: &[String]) -> Result<(), String> {
         // Optional read traffic so counter/histogram metrics show live
         // values.
         for w in &read_words {
-            let hits = engine.boolean_str(w).map_err(|e| format!("read {w:?}: {e}"))?;
-            invidx::obs::log_progress("invidx", &format!("{w:?}: {} match(es)", hits.docs().len()));
+            let out = engine
+                .execute(&EngineQuery::boolean(w))
+                .map_err(|e| format!("read {w:?}: {e}"))?;
+            let matches = out.docs().map_or(0, |list| list.len());
+            invidx::obs::log_progress("invidx", &format!("{w:?}: {matches} match(es)"));
         }
         publish_index_gauges(&engine, &conf);
         let snap = invidx::obs::snapshot();
@@ -1464,9 +1177,12 @@ fn print_docs(docs: &[DocId]) {
     );
 }
 
+/// Result budget of `like` and `rank` when the command line names none.
+const DEFAULT_K: usize = 10;
+
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  invidx init <dir> [--policy P] [--disks N] [--blocks N] [--block-size N] [--legacy]\n               \
+        "usage:\n  invidx init <dir> [--policy P] [--disks N] [--blocks N] [--block-size N]\n               \
          [--engine inplace|segmented] [--l0-budget BYTES] [--fanout N] [--codec plain|varint|bitpacked]\n  \
          invidx add <dir> [--ingest-threads N] <file...>\n  \
          invidx search <dir> <boolean query | --stdin>\n  \
@@ -1500,14 +1216,22 @@ fn main() -> ExitCode {
         ("init", opts) => cmd_init(&dir, opts),
         ("add", files) => cmd_add(&dir, files),
         ("search", [flag]) if flag == "--stdin" => cmd_search_stdin(&dir),
-        ("search", [q]) => cmd_search(&dir, q),
-        ("phrase", [p]) => cmd_phrase(&dir, p),
-        ("near", [a, b, w]) => cmd_near(&dir, a, b, w),
-        ("like", [t]) => cmd_like(&dir, t, None),
-        ("like", [t, k]) => cmd_like(&dir, t, Some(k)),
-        ("rank", [t]) => cmd_rank(&dir, t, None),
-        ("rank", [t, k]) => cmd_rank(&dir, t, Some(k)),
-        ("show", [id]) => cmd_show(&dir, id),
+        ("search", [q]) => cmd_query(&dir, EngineQuery::boolean(q)),
+        ("phrase", [p]) => cmd_query(&dir, EngineQuery::phrase(p)),
+        ("near", [a, b, w]) => operand(w, "window")
+            .and_then(|window| cmd_query(&dir, EngineQuery::near(a, b, window))),
+        ("like", [t]) => cmd_query(&dir, EngineQuery::like(t, DEFAULT_K)),
+        ("like", [t, k]) => {
+            operand(k, "k").and_then(|k| cmd_query(&dir, EngineQuery::like(t, k)))
+        }
+        // BM25 ranked top-k (WAND early termination; see `crates/ir/src/rank.rs`).
+        ("rank", [t]) => cmd_query(&dir, EngineQuery::rank(t, DEFAULT_K)),
+        ("rank", [t, k]) => {
+            operand(k, "k").and_then(|k| cmd_query(&dir, EngineQuery::rank(t, k)))
+        }
+        ("show", [id]) => {
+            operand(id, "doc id").and_then(|id| cmd_query(&dir, EngineQuery::Doc(DocId(id))))
+        }
         ("compact", []) => cmd_compact(&dir),
         ("checkpoint", []) => cmd_checkpoint(&dir),
         ("recover", []) => cmd_recover(&dir),

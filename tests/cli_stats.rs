@@ -128,3 +128,25 @@ fn stats_metrics_and_top_agree_end_to_end() {
     // The two queries are visible in the frame's result-cache line.
     assert!(top.contains("result cache"), "{top}");
 }
+
+/// A directory in the retired `engine.meta` layout is refused with an
+/// error that names the fix, and `init` no longer offers that layout.
+#[test]
+fn legacy_layout_is_refused_and_the_error_names_the_fix() {
+    let scratch = Scratch::new("legacy");
+    let index = scratch.path().join("ix");
+    let dir = index.to_str().unwrap();
+    run(&["init", dir, "--disks", "2", "--blocks", "4000"]);
+    // What the old layout looked like: a metadata blob, no checkpoint.
+    std::fs::remove_file(index.join("index.ckpt")).unwrap();
+    std::fs::write(index.join("engine.meta"), b"IVXMETA2").unwrap();
+    let out = Command::new(BIN).args(["search", dir, "cat"]).output().unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    for needle in ["legacy layout", "invidx init", "invidx add"] {
+        assert!(err.contains(needle), "error must mention {needle:?}: {err}");
+    }
+    let fresh = scratch.path().join("ix2");
+    let out = Command::new(BIN).args(["init", fresh.to_str().unwrap(), "--legacy"]).output().unwrap();
+    assert!(!out.status.success(), "--legacy is gone");
+}

@@ -7,7 +7,7 @@ use invidx::core::policy::Policy;
 use invidx::corpus::doc::{render, CorpusGenerator, CorpusParams};
 use invidx::corpus::lexer;
 use invidx::disk::sparse_array;
-use invidx::ir::SearchEngine;
+use invidx::ir::{EngineQuery, SearchEngine};
 use std::collections::BTreeSet;
 
 fn corpus_texts() -> Vec<String> {
@@ -24,6 +24,12 @@ fn corpus_texts() -> Vec<String> {
         .flat_map(|d| d.docs.into_iter())
         .map(|d| render(&d))
         .collect()
+}
+
+/// Ids of the documents a boolean, phrase, or proximity query matches.
+fn doc_ids(engine: &SearchEngine, query: &EngineQuery) -> Vec<u32> {
+    let out = engine.execute(query).expect("query");
+    out.docs().expect("docs output").docs().iter().map(|d| d.0).collect()
 }
 
 fn build_engine(texts: &[String]) -> SearchEngine {
@@ -83,8 +89,7 @@ fn boolean_queries_match_brute_force() {
         format!("({a} or {b}) and not ({c} and {a})"),
     ];
     for q in cases {
-        let got: Vec<u32> =
-            engine.boolean_str(&q).expect("query").docs().iter().map(|d| d.0).collect();
+        let got = doc_ids(&engine, &EngineQuery::boolean(&q));
         let (wa, wb, wc) = (a.clone(), b.clone(), c.clone());
         // Re-evaluate with the brute-force scan using a closure per case.
         let brute: Vec<u32> = match q.as_str() {
@@ -119,13 +124,7 @@ fn proximity_matches_brute_force() {
     let w1 = sample[sample.len() / 3].clone();
     let w2 = sample[2 * sample.len() / 3].clone();
     for window in [1u32, 3, 10, 50] {
-        let got: Vec<u32> = engine
-            .within(&w1, &w2, window)
-            .expect("within")
-            .docs()
-            .iter()
-            .map(|d| d.0)
-            .collect();
+        let got = doc_ids(&engine, &EngineQuery::near(&w1, &w2, window));
         let brute: Vec<u32> = texts
             .iter()
             .enumerate()
@@ -150,8 +149,7 @@ fn phrase_matches_brute_force() {
     // Take a real 3-token phrase from the middle of a document body.
     let toks = lexer::tokenize_document(&texts[3]);
     let phrase = format!("{} {} {}", toks[10], toks[11], toks[12]);
-    let got: Vec<u32> =
-        engine.phrase(&phrase).expect("phrase").docs().iter().map(|d| d.0).collect();
+    let got = doc_ids(&engine, &EngineQuery::phrase(&phrase));
     let needle = [toks[10].clone(), toks[11].clone(), toks[12].clone()];
     let brute: Vec<u32> = texts
         .iter()
@@ -171,7 +169,8 @@ fn more_like_this_favours_the_source_document() {
     let texts = corpus_texts();
     let engine = build_engine(&texts);
     for probe in [0usize, 7, 42] {
-        let hits = engine.more_like_this(&texts[probe], 3).expect("mlt");
+        let out = engine.execute(&EngineQuery::like(&texts[probe], 3)).expect("mlt");
+        let hits = out.hits().expect("hits output");
         assert_eq!(
             hits[0].doc.0,
             probe as u32 + 1,
