@@ -27,7 +27,7 @@ use invidx_core::policy::Policy;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::{doc, CorpusGenerator, CorpusParams};
 use invidx_disk::sparse_array;
-use invidx_ir::{Bm25Params, EngineQuery, Hit, SearchEngine};
+use invidx_ir::{Bm25Params, DurableEngine, EngineQuery, Hit};
 use invidx_obs::names;
 use invidx_sim::TextTable;
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ fn corpus() -> CorpusParams {
 
 /// Build the engine with the given codec and cache budget, returning it
 /// with the long-list byte counters sampled across the build.
-fn build(codec: PostingsCodec, cache_blocks: usize) -> (SearchEngine, u64, u64) {
+fn build(codec: PostingsCodec, cache_blocks: usize) -> (DurableEngine, u64, u64) {
     let raw0 = invidx_obs::registry().counter(names::POSTINGS_BYTES_RAW).get();
     let stored0 = invidx_obs::registry().counter(names::POSTINGS_BYTES_STORED).get();
     let array = sparse_array(DISKS, BLOCKS_PER_DISK, BLOCK_SIZE);
@@ -66,7 +66,7 @@ fn build(codec: PostingsCodec, cache_blocks: usize) -> (SearchEngine, u64, u64) 
         .postings_codec(codec)
         .build()
         .expect("valid config");
-    let mut engine = SearchEngine::create(array, config).expect("create");
+    let mut engine = DurableEngine::without_log(array, config).expect("create");
     for day in CorpusGenerator::new(corpus()) {
         for d in &day.docs {
             engine.add_document(&doc::render(d)).expect("add");
@@ -124,8 +124,8 @@ fn main() {
     for (ci, codec) in [PostingsCodec::Plain, PostingsCodec::BitPacked].into_iter().enumerate() {
         for (bi, &(pct, budget)) in budgets.iter().enumerate() {
             let (engine, raw, stored) = build(codec, budget);
-            engine.index().array().take_trace(); // drop the build trace
-            engine.index().array().start_trace();
+            engine.index().inner().array().take_trace(); // drop the build trace
+            engine.index().inner().array().start_trace();
             let answers: Vec<Vec<(u32, u64)>> = stream
                 .iter()
                 .map(|q| {
@@ -133,7 +133,7 @@ fn main() {
                     bits(engine.execute(&query).expect("rank").hits().expect("hits output"))
                 })
                 .collect();
-            let trace = engine.index().array().take_trace();
+            let trace = engine.index().inner().array().take_trace();
             let device_reads = trace.ops.len() as u64;
             let device_blocks: u64 = trace.ops.iter().map(|o| o.blocks).sum();
 

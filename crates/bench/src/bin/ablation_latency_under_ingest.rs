@@ -21,12 +21,12 @@
 //! scale. With `INVIDX_MAX_P99_INGEST_FACTOR=<x>` the run exits non-zero
 //! unless p99-under-ingest stays within `x`× the idle p99.
 
-use invidx_bench::{emit_table, init_metrics, quick};
+use invidx_bench::{emit_table, init_metrics, percentile, quick};
 use invidx_core::index::IndexConfig;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::zipf::ZipfTable;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_serve::{QueryService, Request, ServeConfig};
 use invidx_sim::TextTable;
 use rand::rngs::StdRng;
@@ -82,7 +82,7 @@ fn make_queries(s: &Scale, zipf: &ZipfTable, rng: &mut StdRng) -> Vec<Request> {
 
 /// Replay the pool from `READERS` threads; per-request latencies, merged.
 fn measure(
-    service: &Arc<QueryService<SearchEngine>>,
+    service: &Arc<QueryService<DurableEngine>>,
     queries: &Arc<Vec<Request>>,
     requests_per_reader: usize,
 ) -> (Vec<u64>, f64) {
@@ -111,14 +111,6 @@ fn measure(
     (all, secs)
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx] as f64 / 1e3
-}
-
 fn row(label: &str, latencies_us: &[u64], secs: f64) -> Vec<String> {
     vec![
         label.to_string(),
@@ -138,7 +130,7 @@ fn main() {
     let queries = Arc::new(make_queries(&s, &zipf, &mut rng));
 
     let engine =
-        SearchEngine::create(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
+        DurableEngine::without_log(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
     let config = ServeConfig::builder().result_cache_capacity(0).build().unwrap();
     let service = Arc::new(QueryService::with_config(engine, config).expect("serve"));
     for _ in 0..s.seed_batches {

@@ -20,13 +20,14 @@
 //!   quiescence — compaction must also be invisible.
 
 use invidx_bench::emit_table;
-use invidx_core::index::{DualIndex, EngineKind, IndexConfig};
+use invidx_core::index::{EngineKind, IndexConfig};
 use invidx_core::policy::Policy;
 use invidx_core::types::{DocId, WordId};
 use invidx_corpus::{CorpusGenerator, CorpusParams};
 use invidx_disk::trace::OpKind;
 use invidx_disk::{sparse_array, DiskArray};
-use invidx_segment::SegmentedIndex;
+use invidx_durable::DurableIndex;
+use invidx_segment::{DurableSegmentedIndex, SegmentStats};
 use invidx_sim::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -136,62 +137,45 @@ fn live_blocks(a: &DiskArray) -> u64 {
     a.per_disk_usage().iter().map(|&(free, total)| total - free).sum()
 }
 
-enum Engine {
-    InPlace(DualIndex),
-    Segmented(SegmentedIndex),
+/// The calls the build and query loops make, so one `run` drives the
+/// in-place store and the segmented one (both built without a log).
+trait Store {
+    fn insert_documents(&mut self, docs: Vec<(DocId, Vec<WordId>)>);
+    fn delete_document(&mut self, doc: DocId);
+    fn flush(&mut self);
+    fn postings(&self, word: WordId) -> Vec<DocId>;
+    fn array(&self) -> &DiskArray;
+    fn tiers(&self) -> Option<SegmentStats>;
 }
 
-impl Engine {
-    fn insert_documents(&mut self, docs: Vec<(DocId, Vec<WordId>)>) {
-        match self {
-            Self::InPlace(ix) => ix.insert_documents(docs, 1).expect("insert"),
-            Self::Segmented(ix) => ix.insert_documents(docs, 1).expect("insert"),
-        }
-    }
-
-    fn delete_document(&mut self, doc: DocId) {
-        match self {
-            Self::InPlace(ix) => ix.delete_document(doc),
-            Self::Segmented(ix) => ix.delete_document(doc),
-        }
-    }
-
-    fn flush(&mut self) {
-        match self {
-            Self::InPlace(ix) => {
-                ix.flush_batch().expect("flush");
+macro_rules! impl_store {
+    ($store:ty, $tiers:expr) => {
+        impl Store for $store {
+            fn insert_documents(&mut self, docs: Vec<(DocId, Vec<WordId>)>) {
+                <$store>::insert_documents(self, docs, 1).expect("insert");
             }
-            Self::Segmented(ix) => {
-                ix.flush_batch().expect("flush");
+            fn delete_document(&mut self, doc: DocId) {
+                <$store>::delete_document(self, doc);
             }
-        }
-    }
-
-    fn postings(&self, word: WordId) -> Vec<DocId> {
-        let list = match self {
-            Self::InPlace(ix) => ix.postings(word).expect("postings"),
-            Self::Segmented(ix) => ix.postings(word).expect("postings"),
-        };
-        list.docs().to_vec()
-    }
-
-    fn array(&self) -> &DiskArray {
-        match self {
-            Self::InPlace(ix) => ix.array(),
-            Self::Segmented(ix) => ix.array(),
-        }
-    }
-}
-
-fn run(label: &'static str, engine_kind: EngineKind, stream: &[WordId]) -> RunStats {
-    let cfg = config(engine_kind);
-    let mut engine = match engine_kind {
-        EngineKind::InPlace => Engine::InPlace(DualIndex::create(array(), cfg).expect("create")),
-        EngineKind::Segmented { .. } => {
-            Engine::Segmented(SegmentedIndex::create(array(), cfg).expect("create"))
+            fn flush(&mut self) {
+                <$store>::flush(self).expect("flush");
+            }
+            fn postings(&self, word: WordId) -> Vec<DocId> {
+                <$store>::postings(self, word).expect("postings").docs().to_vec()
+            }
+            fn array(&self) -> &DiskArray {
+                self.inner().array()
+            }
+            fn tiers(&self) -> Option<SegmentStats> {
+                $tiers(self)
+            }
         }
     };
+}
+impl_store!(DurableIndex, |_: &DurableIndex| None);
+impl_store!(DurableSegmentedIndex, |ix: &DurableSegmentedIndex| Some(ix.stats()));
 
+fn run(label: &'static str, mut engine: impl Store, stream: &[WordId]) -> RunStats {
     engine.array().start_trace();
     let start = Instant::now();
     let mut docs = 0u64;
@@ -233,10 +217,9 @@ fn run(label: &'static str, engine_kind: EngineKind, stream: &[WordId]) -> RunSt
     sample.extend((1..=40u64).map(|i| WordId(i * 479)));
     let postings = sample.into_iter().map(|w| (w, engine.postings(w))).collect();
 
-    let (seals, merges, levels) = match &engine {
-        Engine::InPlace(_) => (0, 0, "-".to_string()),
-        Engine::Segmented(ix) => {
-            let s = ix.stats();
+    let (seals, merges, levels) = match engine.tiers() {
+        None => (0, 0, "-".to_string()),
+        Some(s) => {
             let levels = s
                 .levels
                 .iter()
@@ -272,12 +255,11 @@ fn run(label: &'static str, engine_kind: EngineKind, stream: &[WordId]) -> RunSt
 
 fn main() {
     let stream = zipf_stream(corpus().vocab_ranks as u64, QUERIES, 11);
-    let inplace = run("in-place", EngineKind::InPlace, &stream);
-    let segmented = run(
-        "segmented",
-        EngineKind::Segmented { l0_budget: 48 * 1024, fanout: 3 },
-        &stream,
-    );
+    let in_place = DurableIndex::without_log(array(), config(EngineKind::InPlace));
+    let inplace = run("in-place", in_place.expect("create"), &stream);
+    let tiered = config(EngineKind::Segmented { l0_budget: 48 * 1024, fanout: 3 });
+    let tiered = DurableSegmentedIndex::without_log(array(), tiered);
+    let segmented = run("segmented", tiered.expect("create"), &stream);
 
     let mut rows = Vec::new();
     for s in [&inplace, &segmented] {

@@ -14,7 +14,7 @@ use invidx_bench::{emit_table, quick};
 use invidx_core::index::IndexConfig;
 use invidx_corpus::{CorpusGenerator, CorpusParams};
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_sim::TextTable;
 use std::time::Instant;
 
@@ -49,7 +49,7 @@ fn render(word_ranks: &[u64]) -> String {
 fn ingest(texts: &[&str], threads: usize, batch_docs: usize) -> (f64, usize, u64) {
     let array = sparse_array(4, 2_000_000, 512);
     let config = IndexConfig { ingest_threads: threads, ..IndexConfig::small() };
-    let mut engine = SearchEngine::create(array, config).expect("create");
+    let mut engine = DurableEngine::without_log(array, config).expect("create");
     let start = Instant::now();
     for group in texts.chunks(batch_docs) {
         engine.add_documents(group).expect("add");

@@ -26,12 +26,12 @@
 //! With `INVIDX_MAX_P99_MS=<ms>` the run exits non-zero unless the
 //! sustained-phase p99 latency stays at or under `ms`.
 
-use invidx_bench::{emit_table, init_metrics, quick};
+use invidx_bench::{emit_table, init_metrics, percentile, quick};
 use invidx_core::index::IndexConfig;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::zipf::ZipfTable;
 use invidx_disk::sparse_array;
-use invidx_ir::{Bm25Params, SearchEngine};
+use invidx_ir::{Bm25Params, DurableEngine};
 use invidx_serve::{
     parse_response, Payload, QueryService, Request, ServeConfig, Server,
 };
@@ -98,7 +98,7 @@ fn make_queries(s: &Scale, zipf: &ZipfTable, rng: &mut StdRng) -> Vec<Request> {
         .collect()
 }
 
-fn run_oracle_request(engine: &SearchEngine, req: &Request) -> Vec<u32> {
+fn run_oracle_request(engine: &DurableEngine, req: &Request) -> Vec<u32> {
     let query = req.engine_query(Bm25Params::default()).expect("an engine query");
     let out = engine.execute(&query).expect("oracle query");
     out.docs().expect("not in the oracle mix").docs().iter().map(|d| d.0).collect()
@@ -110,8 +110,8 @@ fn build_oracle(
     queries: &[Request],
 ) -> Vec<HashMap<String, Vec<u32>>> {
     let mut engine =
-        SearchEngine::create(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
-    let row = |e: &SearchEngine| {
+        DurableEngine::without_log(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
+    let row = |e: &DurableEngine| {
         queries.iter().map(|q| (q.to_wire(), run_oracle_request(e, q))).collect()
     };
     let mut oracle = vec![row(&engine)];
@@ -182,14 +182,6 @@ fn run_client(
     out
 }
 
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx] as f64 / 1e3
-}
-
 struct PhaseRow {
     label: String,
     clients: usize,
@@ -230,7 +222,7 @@ fn sustained_phase(
     oracle: Arc<Vec<HashMap<String, Vec<u32>>>>,
 ) -> PhaseRow {
     let engine =
-        SearchEngine::create(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
+        DurableEngine::without_log(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
     let config = ServeConfig::builder()
         .result_cache_capacity(512)
         .readers(4)
@@ -299,7 +291,7 @@ fn open_loop_phase(
     schedule: &[Vec<String>],
 ) -> PhaseRow {
     let engine =
-        SearchEngine::create(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
+        DurableEngine::without_log(sparse_array(4, 200_000, 512), IndexConfig::small()).unwrap();
     let config = ServeConfig::builder()
         .result_cache_capacity(512)
         .readers(4)
@@ -415,7 +407,7 @@ fn open_loop_phase(
 /// must degrade by answering typed load errors, not by queueing forever.
 fn overload_phase(queries: Arc<Vec<Request>>, seed_batch: &[String]) -> PhaseRow {
     let engine =
-        SearchEngine::create(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
+        DurableEngine::without_log(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
     let config = ServeConfig::builder()
         .result_cache_capacity(0)
         .readers(1)

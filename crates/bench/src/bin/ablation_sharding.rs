@@ -34,7 +34,7 @@
 //! `INVIDX_MAX_P99_MS=<ms>` it exits non-zero unless the best
 //! configuration's p99 latency stays at or under `ms`.
 
-use invidx_bench::{emit_table, init_metrics, quick};
+use invidx_bench::{emit_table, init_metrics, percentile, quick};
 use invidx_core::index::IndexConfig;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::zipf::ZipfTable;
@@ -425,14 +425,6 @@ fn run_config(
     );
     drop(tailers);
     out
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
-    sorted_us[idx] as f64 / 1e3
 }
 
 fn main() {

@@ -22,7 +22,7 @@ use invidx_core::index::IndexConfig;
 use invidx_corpus::vocab::word_string;
 use invidx_corpus::zipf::ZipfTable;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_obs::log_progress;
 use invidx_serve::{Frontend, QueryService, Request, ServeConfig};
 use invidx_sim::TextTable;
@@ -54,10 +54,10 @@ fn tolerance() -> f64 {
 }
 
 /// One serving stack at the given sampling rate, shared corpus text.
-fn build_frontend(docs: &[String], trace_sample: u32) -> Frontend<SearchEngine> {
+fn build_frontend(docs: &[String], trace_sample: u32) -> Frontend<DurableEngine> {
     let mut config = IndexConfig::small();
     config.cache_blocks = 128;
-    let engine = SearchEngine::create(sparse_array(2, 200_000, 512), config).unwrap();
+    let engine = DurableEngine::without_log(sparse_array(2, 200_000, 512), config).unwrap();
     let serve = ServeConfig::builder()
         .result_cache_capacity(256)
         .readers(2)
@@ -72,7 +72,7 @@ fn build_frontend(docs: &[String], trace_sample: u32) -> Frontend<SearchEngine> 
 }
 
 /// Closed-loop run: `requests` boolean queries against one stack, qps out.
-fn measure(fe: &Frontend<SearchEngine>, queries: &[Request], requests: usize) -> f64 {
+fn measure(fe: &Frontend<DurableEngine>, queries: &[Request], requests: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(0x7EACE);
     let t = Instant::now();
     for _ in 0..requests {
@@ -107,7 +107,7 @@ fn main() {
         .collect();
 
     let configs: [(&str, u32); 3] = [("off", 0), ("1/64", 64), ("all", 1)];
-    let stacks: Vec<Frontend<SearchEngine>> =
+    let stacks: Vec<Frontend<DurableEngine>> =
         configs.iter().map(|&(_, rate)| build_frontend(&docs, rate)).collect();
     // Warm each stack once (block cache residency, result cache fill) so
     // the measured rounds compare steady states.

@@ -142,6 +142,16 @@ pub fn figure_policies() -> Vec<Policy> {
     Policy::style_comparison_set()
 }
 
+/// The `p`-quantile (nearest rank) of ascending microsecond latencies, in
+/// milliseconds; 0 for no samples.
+pub fn percentile(sorted_us: &[u64], p: f64) -> f64 {
+    if sorted_us.is_empty() {
+        return 0.0;
+    }
+    let idx = ((sorted_us.len() - 1) as f64 * p).round() as usize;
+    sorted_us[idx] as f64 / 1e3
+}
+
 /// Format seconds compactly.
 pub fn fmt_secs(s: f64) -> String {
     if s >= 100.0 {

@@ -21,6 +21,9 @@ pub enum DurableError {
     /// The durable store hit an earlier error and refuses further writes
     /// until reopened (recovery is the only safe path out).
     Poisoned,
+    /// The operation reads or ships the write-ahead log of a store that
+    /// was built without one ([`crate::DurableIndex::without_log`]).
+    NoLog,
 }
 
 impl DurableError {
@@ -38,6 +41,7 @@ impl fmt::Display for DurableError {
             Self::Injected(p) => write!(f, "injected fault at {p:?}"),
             Self::Corrupt(msg) => write!(f, "corrupt durable state: {msg}"),
             Self::Poisoned => write!(f, "durable store poisoned by an earlier error; reopen to recover"),
+            Self::NoLog => write!(f, "engine has no write-ahead log"),
         }
     }
 }

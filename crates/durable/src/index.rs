@@ -1,7 +1,13 @@
-//! [`DurableIndex`]: WAL + checkpoint discipline over
-//! [`invidx_core::DualIndex`].
+//! [`DurableIndex`]: [`invidx_core::DualIndex`] plus an optional
+//! write-ahead log.
 //!
-//! Every mutating operation follows the same shape:
+//! Whether a store has a log is decided at construction and known only
+//! here: [`DurableIndex::create`] / [`DurableIndex::open`] build one in a
+//! store directory, [`DurableIndex::without_log`] wraps a caller-supplied
+//! disk array with none. Without a log every mutating operation is the
+//! paper's own shadow-paged commit ([`DualIndex::flush_batch`],
+//! [`DualIndex::sweep`], [`DualIndex::compact`],
+//! [`DualIndex::rebalance_buckets`]). With one it follows this shape:
 //!
 //! ```text
 //! 1. encode a WAL record and append it           (not yet durable)
@@ -165,14 +171,11 @@ pub struct RecoveryInfo {
     pub truncated_bytes: u64,
 }
 
-/// A crash-safe index: [`DualIndex`] plus WAL, checkpoints, and recovery.
-pub struct DurableIndex {
-    inner: DualIndex,
+/// The write-ahead half of a [`DurableIndex`].
+struct Log {
     wal: WalWriter,
     ckpt_path: PathBuf,
-    injector: FaultInjector,
     opts: DurableOptions,
-    geometry: StoreGeometry,
     /// Deletions issued since the last WAL record (they ride in the next
     /// `Batch` or `Sweep` record).
     pending_deletes: Vec<DocId>,
@@ -181,8 +184,16 @@ pub struct DurableIndex {
     ckpt_meta: Vec<u8>,
     records_since_ckpt: u64,
     last_ckpt_batch: u64,
-    poisoned: bool,
     recovery: Option<RecoveryInfo>,
+}
+
+/// [`DualIndex`] plus, when opened in a store directory, WAL, checkpoints,
+/// and recovery.
+pub struct DurableIndex {
+    inner: DualIndex,
+    log: Option<Log>,
+    injector: FaultInjector,
+    poisoned: bool,
 }
 
 fn build_array(
@@ -233,23 +244,29 @@ impl DurableIndex {
         let mut inner = DualIndex::create(array, config)?;
         inner.set_defer_frees(true);
         let wal = WalWriter::open(&dir.join(WAL_FILE), injector.clone())?;
-        let mut me = Self {
-            inner,
+        let log = Log {
             wal,
             ckpt_path: dir.join(CKPT_FILE),
-            injector,
             opts,
-            geometry,
             pending_deletes: Vec::new(),
             ckpt_meta: Vec::new(),
             records_since_ckpt: 0,
             last_ckpt_batch: 0,
-            poisoned: false,
             recovery: None,
         };
+        let mut me = Self { inner, log: Some(log), injector, poisoned: false };
         // An initial checkpoint so recovery always has a base to restore.
         me.checkpoint()?;
         Ok(me)
+    }
+
+    /// A fresh index on `array` with no write-ahead log, no checkpoint
+    /// file and no store directory: each batch commits through the
+    /// paper's shadow-paged metadata flush, and the array frees extents
+    /// immediately (no quarantine — there is no replay to protect).
+    pub fn without_log(array: DiskArray, config: IndexConfig) -> Result<Self> {
+        let inner = DualIndex::create(array, config)?;
+        Ok(Self { inner, log: None, injector: FaultInjector::new(), poisoned: false })
     }
 
     /// Open (recover) the store in `dir`: load the latest checkpoint,
@@ -274,8 +291,7 @@ impl DurableIndex {
         let ck = Checkpoint::load(&ckpt_path)?.ok_or_else(|| {
             DurableError::Corrupt(format!("no checkpoint at {}", ckpt_path.display()))
         })?;
-        let geometry = ck.geometry;
-        let array = build_array(dir, geometry, &injector, false)?;
+        let array = build_array(dir, ck.geometry, &injector, false)?;
         let mut inner = DualIndex::restore(array, config, &ck.snapshot)?;
         hooks.on_checkpoint_meta(&ck.meta, &mut inner)?;
         // Free-space verification: restore plus hooks must have re-reserved
@@ -329,20 +345,17 @@ impl DurableIndex {
             "skipped_records": info.skipped_records,
             "truncated_bytes": info.truncated_bytes,
         });
-        Ok(Self {
-            inner,
+        let log = Log {
             wal,
             ckpt_path,
-            injector,
             opts,
-            geometry,
             pending_deletes: Vec::new(),
             ckpt_meta: ck.meta,
             records_since_ckpt: info.replayed_records,
             last_ckpt_batch: info.checkpoint_batch,
-            poisoned: false,
             recovery: Some(info),
-        })
+        };
+        Ok(Self { inner, log: Some(log), injector, poisoned: false })
     }
 
     fn replay(inner: &mut DualIndex, rec: &WalRecord) -> Result<()> {
@@ -360,18 +373,13 @@ impl DurableIndex {
                 for &d in deletes {
                     inner.delete_document(d);
                 }
-                inner.sweep()?;
-                inner.free_released()?;
-                inner.bump_batch();
+                Self::sweep_core(inner)?;
             }
             WalRecord::Compact { .. } => {
-                inner.compact_lists()?;
-                inner.bump_batch();
+                Self::compact_core(inner)?;
             }
             WalRecord::Rebalance { num_buckets, capacity_units, .. } => {
-                inner.rebalance_core(*num_buckets as usize, *capacity_units as u64)?;
-                inner.free_released()?;
-                inner.bump_batch();
+                Self::rebalance_core(inner, *num_buckets as usize, *capacity_units as u64)?;
             }
         }
         if inner.batches() != rec.batch() {
@@ -382,6 +390,33 @@ impl DurableIndex {
             )));
         }
         Ok(())
+    }
+
+    // The apply half of the three logged maintenance records: what the
+    // live operation runs after its commit point and what replay redoes.
+
+    fn sweep_core(inner: &mut DualIndex) -> invidx_core::Result<SweepReport> {
+        let report = inner.sweep()?;
+        inner.free_released()?;
+        inner.bump_batch();
+        Ok(report)
+    }
+
+    fn compact_core(inner: &mut DualIndex) -> invidx_core::Result<CompactReport> {
+        let report = inner.compact_lists()?;
+        inner.bump_batch();
+        Ok(report)
+    }
+
+    fn rebalance_core(
+        inner: &mut DualIndex,
+        num_buckets: usize,
+        capacity_units: u64,
+    ) -> invidx_core::Result<RebalanceReport> {
+        let report = inner.rebalance_core(num_buckets, capacity_units)?;
+        inner.free_released()?;
+        inner.bump_batch();
+        Ok(report)
     }
 
     // ----- the update path -----
@@ -402,164 +437,100 @@ impl DurableIndex {
         Ok(self.inner.insert_documents(docs, threads)?)
     }
 
-    /// Logically delete a document. Rides in the next WAL record.
+    /// Logically delete a document. With a log, rides in the next record.
     pub fn delete_document(&mut self, doc: DocId) {
         self.inner.delete_document(doc);
-        self.pending_deletes.push(doc);
+        if let Some(log) = &mut self.log {
+            log.pending_deletes.push(doc);
+        }
     }
 
-    /// Flush the buffered batch through the WAL: log, commit, apply.
+    /// Flush the buffered batch: log, commit, apply — or, without a log,
+    /// the shadow-paged [`DualIndex::flush_batch`].
     pub fn flush(&mut self) -> Result<BatchReport> {
-        self.flush_with_meta(Vec::new())
+        self.flush_with_meta(Vec::new)
     }
 
     /// [`Self::flush`] carrying an opaque higher-layer blob in the WAL
     /// record (the IR engine logs its per-batch vocabulary and document
-    /// store growth here, so recovery hooks can redo it).
-    pub fn flush_with_meta(&mut self, meta: Vec<u8>) -> Result<BatchReport> {
+    /// store growth here, so recovery hooks can redo it). `meta` is only
+    /// called when there is a record to put it in.
+    pub fn flush_with_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) -> Result<BatchReport> {
         self.check_poison()?;
+        let Some(log) = &mut self.log else {
+            return Ok(self.inner.flush_batch()?);
+        };
         let _span = invidx_obs::span("durable_flush");
         let lists: Vec<(WordId, Vec<DocId>)> =
             self.inner.mem().iter().map(|(w, l)| (w, l.docs().to_vec())).collect();
         let record = WalRecord::Batch {
             batch: self.inner.batches() + 1,
             lists,
-            deletes: self.pending_deletes.clone(),
-            meta,
+            deletes: std::mem::take(&mut log.pending_deletes),
+            meta: meta(),
         };
-        if !self.opts.pipelined_wal {
-            self.commit_record(&record)?;
-            self.pending_deletes.clear();
-            let report = match self.inner.apply_batch() {
-                Ok(r) => r,
-                Err(e) => return Err(self.poison(e.into())),
-            };
-            self.after_record()?;
-            return Ok(report);
-        }
-
-        // Pipelined flush: serialize the record here, then overlap the
-        // log append + fsync with the in-place apply. The join lands
-        // before anything observable happens — the caller only sees `Ok`
-        // (and `pending_deletes` only clears, a checkpoint only runs)
-        // once the record is durable AND the apply finished. A crash in
-        // the window loses the record: the apply's stray device writes
-        // touched only blocks the last checkpoint considers free, or
-        // bytes past the committed posting counts, so recovery never
-        // reads them.
-        let frame = record.encode_frame();
-        if self.opts.trace_durability_ops {
-            let bs = self.inner.array().block_size() as u64;
-            self.inner.array().trace_push(IoOp {
-                kind: OpKind::Write,
-                disk: 0,
-                start: record.batch(),
-                blocks: (frame.len() as u64).div_ceil(bs).max(1),
-                payload: Payload::Wal,
-            });
-        }
-        let fsync = self.opts.fsync_wal;
-        let wal = &mut self.wal;
-        let inner = &mut self.inner;
-        let (wal_result, apply_result) = std::thread::scope(|s| {
-            let logger = s.spawn(move || -> Result<u64> {
-                let bytes = wal.append_frame(&frame)?;
-                if fsync {
-                    wal.sync()?;
-                }
-                Ok(bytes)
-            });
-            let apply = inner.apply_batch();
-            let logged = match logger.join() {
-                Ok(r) => r,
-                Err(panic) => std::panic::resume_unwind(panic),
-            };
-            (logged, apply)
-        });
-        let bytes = match wal_result {
-            Ok(b) => b,
-            Err(e) => return Err(self.poison(e)),
+        let flushed = if log.opts.pipelined_wal {
+            log.flush_pipelined(&mut self.inner, &self.injector, &record)
+        } else {
+            log.apply_logged(&mut self.inner, &self.injector, &record, DualIndex::apply_batch)
         };
-        invidx_obs::counter!(names::WAL_APPENDS).inc();
-        invidx_obs::counter!(names::WAL_BYTES).add(bytes);
-        if fsync {
-            invidx_obs::counter!(names::WAL_FSYNCS).inc();
-        }
-        self.pending_deletes.clear();
-        let report = match apply_result {
-            Ok(r) => r,
-            Err(e) => return Err(self.poison(e.into())),
-        };
-        self.after_record()?;
-        Ok(report)
+        self.poison_on_err(flushed)
     }
 
     /// Physically remove deleted documents' postings (§3's background
-    /// sweep), as a logged, replayable operation.
+    /// sweep) — a logged, replayable operation when there is a log.
     pub fn sweep(&mut self) -> Result<SweepReport> {
         self.check_poison()?;
+        let Some(log) = &mut self.log else {
+            return Ok(self.inner.sweep()?);
+        };
         if self.inner.pending_deletions() == 0 {
             return Ok(SweepReport::default());
         }
+        // The record carries the whole deletion filter, pending ones included.
+        log.pending_deletes.clear();
         let record = WalRecord::Sweep {
             batch: self.inner.batches() + 1,
             deletes: self.inner.deleted_docs().collect(),
         };
-        self.commit_record(&record)?;
-        self.pending_deletes.clear();
-        let report = match self.inner.sweep().and_then(|r| {
-            self.inner.free_released()?;
-            Ok(r)
-        }) {
-            Ok(r) => r,
-            Err(e) => return Err(self.poison(e.into())),
-        };
-        self.inner.bump_batch();
-        self.after_record()?;
-        Ok(report)
+        let swept = log.apply_logged(&mut self.inner, &self.injector, &record, Self::sweep_core);
+        self.poison_on_err(swept)
     }
 
-    /// Rewrite fragmented long lists contiguously, as a logged operation.
-    /// Requires a batch boundary (flush first).
+    /// Rewrite fragmented long lists contiguously (logged when there is a
+    /// log). Requires a batch boundary (flush first).
     pub fn compact(&mut self) -> Result<CompactReport> {
         self.check_poison()?;
-        self.require_boundary("compaction")?;
-        let record = WalRecord::Compact { batch: self.inner.batches() + 1 };
-        self.commit_record(&record)?;
-        let report = match self.inner.compact_lists() {
-            Ok(r) => r,
-            Err(e) => return Err(self.poison(e.into())),
+        let Some(log) = &mut self.log else {
+            return Ok(self.inner.compact()?);
         };
-        self.inner.bump_batch();
-        self.after_record()?;
-        Ok(report)
+        Self::require_boundary(&self.inner, "compaction")?;
+        let record = WalRecord::Compact { batch: self.inner.batches() + 1 };
+        let compacted = log.apply_logged(&mut self.inner, &self.injector, &record, Self::compact_core);
+        self.poison_on_err(compacted)
     }
 
-    /// Rehash the bucket space to a new geometry, as a logged operation.
-    /// Requires a batch boundary (flush first).
+    /// Rehash the bucket space to a new geometry (logged when there is a
+    /// log). Requires a batch boundary (flush first).
     pub fn rebalance(&mut self, num_buckets: usize, capacity_units: u64) -> Result<RebalanceReport> {
         self.check_poison()?;
-        self.require_boundary("rebalance")?;
+        let Some(log) = &mut self.log else {
+            return Ok(self.inner.rebalance_buckets(num_buckets, capacity_units)?);
+        };
+        Self::require_boundary(&self.inner, "rebalance")?;
         let record = WalRecord::Rebalance {
             batch: self.inner.batches() + 1,
             num_buckets: num_buckets as u32,
             capacity_units: capacity_units as u32,
         };
-        self.commit_record(&record)?;
-        let report = match self.inner.rebalance_core(num_buckets, capacity_units).and_then(|r| {
-            self.inner.free_released()?;
-            Ok(r)
-        }) {
-            Ok(r) => r,
-            Err(e) => return Err(self.poison(e.into())),
-        };
-        self.inner.bump_batch();
-        self.after_record()?;
-        Ok(report)
+        let rebalanced = log.apply_logged(&mut self.inner, &self.injector, &record, |inner| {
+            Self::rebalance_core(inner, num_buckets, capacity_units)
+        });
+        self.poison_on_err(rebalanced)
     }
 
-    fn require_boundary(&self, what: &str) -> Result<()> {
-        if !self.inner.mem().is_empty() {
+    fn require_boundary(inner: &DualIndex, what: &str) -> Result<()> {
+        if !inner.mem().is_empty() {
             return Err(DurableError::Index(IndexError::InvalidConfig(format!(
                 "{what} requires a batch boundary (flush first)"
             ))));
@@ -567,105 +538,34 @@ impl DurableIndex {
         Ok(())
     }
 
-    fn commit_record(&mut self, record: &WalRecord) -> Result<()> {
-        let bytes = match self.wal.append(record) {
-            Ok(b) => b,
-            Err(e) => return Err(self.poison(e)),
-        };
-        invidx_obs::counter!(names::WAL_APPENDS).inc();
-        invidx_obs::counter!(names::WAL_BYTES).add(bytes);
-        if self.opts.fsync_wal {
-            if let Err(e) = self.wal.sync() {
-                return Err(self.poison(e));
-            }
-            invidx_obs::counter!(names::WAL_FSYNCS).inc();
-        }
-        if self.opts.trace_durability_ops {
-            let bs = self.inner.array().block_size() as u64;
-            self.inner.array().trace_push(IoOp {
-                kind: OpKind::Write,
-                disk: 0,
-                start: record.batch(),
-                blocks: bytes.div_ceil(bs).max(1),
-                payload: Payload::Wal,
-            });
-        }
-        Ok(())
-    }
-
-    fn after_record(&mut self) -> Result<()> {
-        self.records_since_ckpt += 1;
-        if self.opts.checkpoint_every > 0 && self.records_since_ckpt >= self.opts.checkpoint_every {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
     // ----- checkpointing -----
 
     /// Stage the higher-layer blob stored in every subsequent checkpoint.
-    pub fn set_checkpoint_meta(&mut self, meta: Vec<u8>) {
-        self.ckpt_meta = meta;
+    /// `meta` is only called when there is a checkpoint file to carry it.
+    pub fn set_checkpoint_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) {
+        if let Some(log) = &mut self.log {
+            log.ckpt_meta = meta();
+        }
     }
 
     /// Write a checkpoint now, reset the WAL, and release quarantined
-    /// extents. Returns the checkpoint size in bytes.
+    /// extents. Returns the checkpoint size in bytes — 0, having done
+    /// nothing, for a store without a log (its last flush is its
+    /// checkpoint).
     pub fn checkpoint(&mut self) -> Result<u64> {
         self.check_poison()?;
-        match self.checkpoint_inner() {
-            Ok(b) => Ok(b),
-            Err(e) => Err(self.poison(e)),
-        }
-    }
-
-    fn checkpoint_inner(&mut self) -> Result<u64> {
-        let _span = invidx_obs::span("checkpoint");
-        // Everything the apply phase wrote must be on the platter before
-        // the checkpoint can reference it.
-        self.inner.flush_devices()?;
-        let snapshot = self.inner.snapshot()?;
-        let free_per_disk: Vec<u64> = self
-            .inner
-            .array()
-            .per_disk_usage()
-            .iter()
-            .zip(self.inner.array().deferred_blocks_per_disk())
-            .map(|(&(free, _), deferred)| free + deferred)
-            .collect();
-        let ck = Checkpoint {
-            geometry: self.geometry,
-            snapshot,
-            free_per_disk,
-            meta: self.ckpt_meta.clone(),
+        let Some(log) = &mut self.log else {
+            return Ok(0);
         };
-        let batch = ck.batch_no();
-        let bytes = ck.write(&self.ckpt_path, &self.injector)?;
-        invidx_obs::counter!(names::CHECKPOINT_WRITES).inc();
-        invidx_obs::counter!(names::CHECKPOINT_BYTES).add(bytes);
-        if self.opts.trace_durability_ops {
-            let bs = self.inner.array().block_size() as u64;
-            self.inner.array().trace_push(IoOp {
-                kind: OpKind::Write,
-                disk: 0,
-                start: batch,
-                blocks: bytes.div_ceil(bs).max(1),
-                payload: Payload::Checkpoint,
-            });
-        }
-        // The checkpoint is committed: records covering batches <= `batch`
-        // are dead, and nothing can replay reads against quarantined
-        // extents anymore.
-        self.wal.truncate(&self.injector)?;
-        self.inner.release_deferred_frees()?;
-        self.last_ckpt_batch = batch;
-        self.records_since_ckpt = 0;
-        invidx_obs::event!("checkpoint", { "batch": batch, "bytes": bytes });
-        Ok(bytes)
+        let written = log.checkpoint(&mut self.inner, &self.injector);
+        self.poison_on_err(written)
     }
 
-    fn poison(&mut self, e: DurableError) -> DurableError {
-        self.poisoned = true;
-        e
+    /// Any error past a logged operation's first write — injected or real
+    /// — leaves the in-place structures ahead of or behind the log.
+    fn poison_on_err<T>(&mut self, result: Result<T>) -> Result<T> {
+        self.poisoned |= result.is_err();
+        result
     }
 
     fn check_poison(&self) -> Result<()> {
@@ -688,9 +588,9 @@ impl DurableIndex {
         self.inner.batches()
     }
 
-    /// Current WAL size in bytes.
+    /// Current WAL size in bytes (0 without a log).
     pub fn wal_size(&self) -> u64 {
-        self.wal.len()
+        self.log.as_ref().map_or(0, |log| log.wal.len())
     }
 
     /// Committed WAL records with batch numbers above `from_batch`,
@@ -703,25 +603,28 @@ impl DurableIndex {
     /// Only useful on stores running `checkpoint_every: 0`: a checkpoint
     /// resets the WAL, so records at or below the checkpoint batch are
     /// gone and a lagging replica would see a gap it cannot replay across.
+    /// [`DurableError::NoLog`] on a store without one.
     pub fn wal_records_from(&self, from_batch: u64) -> Result<Vec<WalRecord>> {
-        let scan = WalReader::scan(&self.wal.read_all()?);
+        let log = self.log.as_ref().ok_or(DurableError::NoLog)?;
+        let scan = WalReader::scan(&log.wal.read_all()?);
         Ok(scan.records.into_iter().filter(|r| r.batch() > from_batch).collect())
     }
 
-    /// Batch number the latest checkpoint covers.
-    pub fn last_checkpoint_batch(&self) -> u64 {
-        self.last_ckpt_batch
+    /// Batch number the latest checkpoint covers (`None` without a log:
+    /// there is no checkpoint file).
+    pub fn last_checkpoint_batch(&self) -> Option<u64> {
+        self.log.as_ref().map(|log| log.last_ckpt_batch)
     }
 
     /// What recovery did when this handle was opened (None for freshly
     /// created stores).
     pub fn recovery(&self) -> Option<&RecoveryInfo> {
-        self.recovery.as_ref()
+        self.log.as_ref()?.recovery.as_ref()
     }
 
     /// Device shape of the store.
     pub fn geometry(&self) -> StoreGeometry {
-        self.geometry
+        geometry_of(self.inner.array())
     }
 
     /// The fault injector wired through every write site.
@@ -745,6 +648,159 @@ impl DurableIndex {
     /// replayable via [`RecoveryHooks`] and WAL-record/checkpoint metadata.
     pub fn inner_mut(&mut self) -> &mut DualIndex {
         &mut self.inner
+    }
+}
+
+impl Log {
+    /// One logged operation: append + fsync `record` (the commit point),
+    /// run `apply` against the in-place index, then checkpoint if due.
+    fn apply_logged<T>(
+        &mut self,
+        inner: &mut DualIndex,
+        injector: &FaultInjector,
+        record: &WalRecord,
+        apply: impl FnOnce(&mut DualIndex) -> invidx_core::Result<T>,
+    ) -> Result<T> {
+        self.commit_record(inner, record)?;
+        let report = apply(inner)?;
+        self.after_record(inner, injector)?;
+        Ok(report)
+    }
+
+    /// Pipelined flush: serialize the record here, then overlap the log
+    /// append + fsync with the in-place apply. The join lands before
+    /// anything observable happens — the caller only sees `Ok` (and a
+    /// checkpoint only runs) once the record is durable AND the apply
+    /// finished. A crash in the window
+    /// loses the record: the apply's stray device writes touched only
+    /// blocks the last checkpoint considers free, or bytes past the
+    /// committed posting counts, so recovery never reads them.
+    fn flush_pipelined(
+        &mut self,
+        inner: &mut DualIndex,
+        injector: &FaultInjector,
+        record: &WalRecord,
+    ) -> Result<BatchReport> {
+        let frame = record.encode_frame();
+        if self.opts.trace_durability_ops {
+            let bs = inner.array().block_size() as u64;
+            inner.array().trace_push(IoOp {
+                kind: OpKind::Write,
+                disk: 0,
+                start: record.batch(),
+                blocks: (frame.len() as u64).div_ceil(bs).max(1),
+                payload: Payload::Wal,
+            });
+        }
+        let fsync = self.opts.fsync_wal;
+        let wal = &mut self.wal;
+        let (wal_result, apply_result) = std::thread::scope(|s| {
+            let logger = s.spawn(move || -> Result<u64> {
+                let bytes = wal.append_frame(&frame)?;
+                if fsync {
+                    wal.sync()?;
+                }
+                Ok(bytes)
+            });
+            let apply = inner.apply_batch();
+            let logged = match logger.join() {
+                Ok(r) => r,
+                Err(panic) => std::panic::resume_unwind(panic),
+            };
+            (logged, apply)
+        });
+        let bytes = wal_result?;
+        invidx_obs::counter!(names::WAL_APPENDS).inc();
+        invidx_obs::counter!(names::WAL_BYTES).add(bytes);
+        if fsync {
+            invidx_obs::counter!(names::WAL_FSYNCS).inc();
+        }
+        let report = apply_result?;
+        self.after_record(inner, injector)?;
+        Ok(report)
+    }
+
+    fn commit_record(&mut self, inner: &DualIndex, record: &WalRecord) -> Result<()> {
+        let bytes = self.wal.append(record)?;
+        invidx_obs::counter!(names::WAL_APPENDS).inc();
+        invidx_obs::counter!(names::WAL_BYTES).add(bytes);
+        if self.opts.fsync_wal {
+            self.wal.sync()?;
+            invidx_obs::counter!(names::WAL_FSYNCS).inc();
+        }
+        if self.opts.trace_durability_ops {
+            let bs = inner.array().block_size() as u64;
+            inner.array().trace_push(IoOp {
+                kind: OpKind::Write,
+                disk: 0,
+                start: record.batch(),
+                blocks: bytes.div_ceil(bs).max(1),
+                payload: Payload::Wal,
+            });
+        }
+        Ok(())
+    }
+
+    fn after_record(&mut self, inner: &mut DualIndex, injector: &FaultInjector) -> Result<()> {
+        self.records_since_ckpt += 1;
+        if self.opts.checkpoint_every > 0 && self.records_since_ckpt >= self.opts.checkpoint_every {
+            self.checkpoint(inner, injector)?;
+        }
+        Ok(())
+    }
+
+    fn checkpoint(&mut self, inner: &mut DualIndex, injector: &FaultInjector) -> Result<u64> {
+        let _span = invidx_obs::span("checkpoint");
+        // Everything the apply phase wrote must be on the platter before
+        // the checkpoint can reference it.
+        inner.flush_devices()?;
+        let snapshot = inner.snapshot()?;
+        let free_per_disk: Vec<u64> = inner
+            .array()
+            .per_disk_usage()
+            .iter()
+            .zip(inner.array().deferred_blocks_per_disk())
+            .map(|(&(free, _), deferred)| free + deferred)
+            .collect();
+        let ck = Checkpoint {
+            geometry: geometry_of(inner.array()),
+            snapshot,
+            free_per_disk,
+            meta: self.ckpt_meta.clone(),
+        };
+        let batch = ck.batch_no();
+        let bytes = ck.write(&self.ckpt_path, injector)?;
+        invidx_obs::counter!(names::CHECKPOINT_WRITES).inc();
+        invidx_obs::counter!(names::CHECKPOINT_BYTES).add(bytes);
+        if self.opts.trace_durability_ops {
+            let bs = inner.array().block_size() as u64;
+            inner.array().trace_push(IoOp {
+                kind: OpKind::Write,
+                disk: 0,
+                start: batch,
+                blocks: bytes.div_ceil(bs).max(1),
+                payload: Payload::Checkpoint,
+            });
+        }
+        // The checkpoint is committed: records covering batches <= `batch`
+        // are dead, and nothing can replay reads against quarantined
+        // extents anymore.
+        self.wal.truncate(injector)?;
+        inner.release_deferred_frees()?;
+        self.last_ckpt_batch = batch;
+        self.records_since_ckpt = 0;
+        invidx_obs::event!("checkpoint", { "batch": batch, "bytes": bytes });
+        Ok(bytes)
+    }
+}
+
+/// The shape of a homogeneous array (every array this crate builds is).
+fn geometry_of(array: &DiskArray) -> StoreGeometry {
+    let disks = array.num_disks();
+    StoreGeometry {
+        disks,
+        blocks_per_disk: array.total_blocks() / u64::from(disks.max(1)),
+        block_size: array.block_size() as u32,
     }
 }
 
@@ -807,7 +863,7 @@ mod tests {
             ix.flush().unwrap();
         }
         // checkpoint_every=2 → checkpoints at batches 2 and 4, WAL empty.
-        assert_eq!(ix.last_checkpoint_batch(), 4);
+        assert_eq!(ix.last_checkpoint_batch(), Some(4));
         assert_eq!(ix.wal_size(), 0);
         let want = ix.postings(WordId(1)).unwrap();
         drop(ix);

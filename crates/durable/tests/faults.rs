@@ -219,7 +219,7 @@ fn recovery_from_mid_stream_checkpoint_plus_replay() {
     }
     insert_batch(&mut ix, 2);
     ix.flush().unwrap(); // auto-checkpoint at batch 2
-    assert_eq!(ix.last_checkpoint_batch(), 2);
+    assert_eq!(ix.last_checkpoint_batch(), Some(2));
     insert_batch(&mut ix, 3);
     ix.flush().unwrap(); // logged past the checkpoint
     insert_batch(&mut ix, 4);

@@ -1,10 +1,20 @@
-//! [`DurableEngine`]: the crash-safe search engine.
+//! [`DurableEngine`]: the search engine — text documents in, ranked
+//! results out.
 //!
-//! [`crate::SearchEngine`] persists its extra-index state (vocabulary,
-//! document directory, counters) by asking the caller to write a metadata
-//! blob after every flush — lose that write and the engine is gone.
-//! `DurableEngine` instead rides the WAL + checkpoint discipline of
-//! [`invidx_durable::DurableIndex`]:
+//! It glues the corpus lexer (paper §4.2), a string → word-id interner
+//! ("all words in batch updates are converted to unique integers"), the
+//! index, and the one query evaluator ([`crate::query`]). The state that
+//! is *not* the index proper — the document store, the vocabulary, the id
+//! counters — lives in [`EngineCore`].
+//!
+//! Whether the store has a write-ahead log is the index's business, not
+//! the engine's ([`invidx_durable::DurableIndex`]): [`DurableEngine::create`]
+//! / [`DurableEngine::open`] build a logged store in a directory,
+//! [`DurableEngine::without_log`] a log-less one over a bare disk array
+//! (the paper's shadow-paged commit; what tests and ablations that need
+//! no recovery run). The engine hands the index what a log would need and
+//! the index takes it or not. With a log, the engine rides the WAL +
+//! checkpoint discipline:
 //!
 //! * every flushed batch logs its **document texts** in the WAL record's
 //!   metadata field, so replay can redo the document-store appends and
@@ -23,11 +33,14 @@
 use crate::boolean::PostingSource;
 use crate::engine::{EngineCore, LiveReader};
 use crate::query::{EngineQuery, QueryOutput};
+use crate::rank::Bm25Params;
+use crate::vector::Hit;
 use invidx_core::index::{
     BatchReport, CompactReport, DualIndex, EngineKind, IndexConfig, RebalanceReport, SweepReport,
 };
 use invidx_core::postings::PostingList;
 use invidx_core::types::{DocId, IndexError, WordId};
+use invidx_disk::DiskArray;
 use invidx_durable::{
     DurableError, DurableIndex, DurableOptions, FaultInjector, RecoveryHooks, RecoveryInfo,
     StoreGeometry, WalRecord,
@@ -35,18 +48,21 @@ use invidx_durable::{
 use invidx_segment::{DurableSegmentedIndex, SegmentStats};
 use std::path::Path;
 
-/// The crash-safe store behind a [`DurableEngine`]: a [`DurableIndex`]
-/// alone (in-place engine), or a [`DurableSegmentedIndex`] that layers
+/// The store behind a [`DurableEngine`], selected by
+/// [`IndexConfig::engine`] at creation: a [`DurableIndex`] alone (the
+/// paper's in-place design), or a [`DurableSegmentedIndex`] that layers
 /// sealed segments, a manifest, and compaction over it.
 pub(crate) enum DurableBackend {
-    /// WAL + checkpoint over the in-place dual-structure index.
+    /// The in-place dual-structure index.
     InPlace(DurableIndex),
-    /// The same durable L0 plus the segment tier.
+    /// The same index as L0, plus the segment tier.
     Segmented(DurableSegmentedIndex),
 }
 
 impl DurableBackend {
-    /// The durable L0 store (the whole store when in-place).
+    /// The L0 store (the whole store when in-place). Whatever does not
+    /// differ between the two layouts — inserts, deletions, L0
+    /// maintenance, the shared disk array — goes straight to it.
     fn l0(&self) -> &DurableIndex {
         match self {
             DurableBackend::InPlace(ix) => ix,
@@ -54,14 +70,10 @@ impl DurableBackend {
         }
     }
 
-    fn inner(&self) -> &DualIndex {
-        self.l0().inner()
-    }
-
-    fn inner_mut(&mut self) -> &mut DualIndex {
+    fn l0_mut(&mut self) -> &mut DurableIndex {
         match self {
-            DurableBackend::InPlace(ix) => ix.inner_mut(),
-            DurableBackend::Segmented(ix) => ix.inner_mut(),
+            DurableBackend::InPlace(ix) => ix,
+            DurableBackend::Segmented(ix) => ix.l0_mut(),
         }
     }
 
@@ -73,41 +85,17 @@ impl DurableBackend {
         }
     }
 
-    fn insert_document(&mut self, doc: DocId, words: Vec<WordId>) -> invidx_durable::Result<()> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.insert_document(doc, words),
-            DurableBackend::Segmented(ix) => ix.insert_document(doc, words).map_err(Into::into),
-        }
-    }
-
-    fn insert_documents(
-        &mut self,
-        docs: Vec<(DocId, Vec<WordId>)>,
-        threads: usize,
-    ) -> invidx_durable::Result<()> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.insert_documents(docs, threads),
-            DurableBackend::Segmented(ix) => {
-                ix.insert_documents(docs, threads).map_err(Into::into)
-            }
-        }
-    }
-
-    fn delete_document(&mut self, doc: DocId) {
-        match self {
-            DurableBackend::InPlace(ix) => ix.delete_document(doc),
-            DurableBackend::Segmented(ix) => ix.delete_document(doc),
-        }
-    }
-
-    fn set_checkpoint_meta(&mut self, meta: Vec<u8>) {
+    fn set_checkpoint_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) {
         match self {
             DurableBackend::InPlace(ix) => ix.set_checkpoint_meta(meta),
             DurableBackend::Segmented(ix) => ix.set_checkpoint_meta(meta),
         }
     }
 
-    fn flush_with_meta(&mut self, meta: Vec<u8>) -> invidx_durable::Result<BatchReport> {
+    fn flush_with_meta(
+        &mut self,
+        meta: impl FnOnce() -> Vec<u8>,
+    ) -> invidx_durable::Result<BatchReport> {
         match self {
             DurableBackend::InPlace(ix) => ix.flush_with_meta(meta),
             DurableBackend::Segmented(ix) => ix.flush_with_meta(meta).map_err(Into::into),
@@ -124,28 +112,12 @@ impl DurableBackend {
     fn sweep(&mut self) -> invidx_durable::Result<SweepReport> {
         match self {
             DurableBackend::InPlace(ix) => ix.sweep(),
-            // See `Backend::sweep`: sealed segments rely on L0 tombstones.
+            // Sweeping L0 would clear tombstones that sealed segments
+            // still need for read-time filtering; deletions are instead
+            // dropped for good when segments merge.
             DurableBackend::Segmented(_) => Err(DurableError::Index(IndexError::InvalidConfig(
                 "the segmented engine has no sweep; deletions are purged by compaction".into(),
             ))),
-        }
-    }
-
-    fn compact(&mut self) -> invidx_durable::Result<CompactReport> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.compact(),
-            DurableBackend::Segmented(ix) => ix.l0_mut().compact(),
-        }
-    }
-
-    fn rebalance(
-        &mut self,
-        num_buckets: usize,
-        capacity_units: u64,
-    ) -> invidx_durable::Result<RebalanceReport> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.rebalance(num_buckets, capacity_units),
-            DurableBackend::Segmented(ix) => ix.l0_mut().rebalance(num_buckets, capacity_units),
         }
     }
 }
@@ -190,7 +162,8 @@ fn decode_batch_meta(meta: &[u8]) -> invidx_durable::Result<Vec<(DocId, String)>
         Ok(s)
     };
     let count = u32::from_le_bytes(take(4)?.try_into().expect("4"));
-    let mut out = Vec::with_capacity(count as usize);
+    // The count came off the wire: a document costs at least 8 bytes.
+    let mut out = Vec::with_capacity((count as usize).min(meta.len() / 8));
     for _ in 0..count {
         let doc = DocId(u32::from_le_bytes(take(4)?.try_into().expect("4")));
         let len = u32::from_le_bytes(take(4)?.try_into().expect("4")) as usize;
@@ -237,7 +210,7 @@ impl RecoveryHooks for EngineHooks {
         for (doc, text) in decode_batch_meta(meta)? {
             // Re-intern in lexer order: reproduces the original word-id
             // assignment, which the record's posting lists were built with.
-            self.core.lex_and_intern(&text);
+            self.core.lex_and_intern(&text)?;
             self.core.docs.store(index.sidecar_array(), doc, &text)?;
             self.core.register_doc(doc, &text);
             self.core.next_doc = self.core.next_doc.max(doc.0 + 1);
@@ -247,9 +220,29 @@ impl RecoveryHooks for EngineHooks {
     }
 }
 
-/// A crash-safe text search engine: [`crate::SearchEngine`] semantics over
-/// a [`DurableIndex`] store directory.
+/// A text search engine over the dual-structure index.
 ///
+/// Documents are stored alongside the index (in a [`crate::DocStore`]
+/// sharing the same disks), enabling the paper's §1 positional conditions:
+/// inverted lists prune the candidates, the stored text verifies
+/// proximity and phrase predicates.
+/// ```
+/// use invidx_core::index::IndexConfig;
+/// use invidx_disk::sparse_array;
+/// use invidx_ir::{DurableEngine, EngineQuery};
+///
+/// let array = sparse_array(2, 50_000, 256);
+/// let mut engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
+/// engine.add_document("the cat sat on the mat").unwrap();
+/// engine.add_document("the dog chased the cat").unwrap();
+/// engine.flush().unwrap();
+/// let both = engine.execute(&EngineQuery::boolean("cat and dog")).unwrap();
+/// assert_eq!(both.docs().unwrap().len(), 1);
+/// let near = engine.execute(&EngineQuery::near("dog", "cat", 3)).unwrap();
+/// assert_eq!(near.docs().unwrap().len(), 1);
+/// ```
+///
+/// In a store directory it is crash-safe:
 /// ```
 /// use invidx_core::index::IndexConfig;
 /// use invidx_durable::{DurableOptions, StoreGeometry};
@@ -308,6 +301,20 @@ impl DurableEngine {
         Ok(Self { backend, core: EngineCore::new(), pending_docs: Vec::new() })
     }
 
+    /// A fresh engine on `array` with no write-ahead log and no store
+    /// directory: batches commit through the paper's shadow-paged flush
+    /// and nothing survives the process (see
+    /// [`DurableIndex::without_log`]).
+    pub fn without_log(array: DiskArray, config: IndexConfig) -> invidx_durable::Result<Self> {
+        let backend = match config.engine {
+            EngineKind::InPlace => DurableBackend::InPlace(DurableIndex::without_log(array, config)?),
+            EngineKind::Segmented { .. } => {
+                DurableBackend::Segmented(DurableSegmentedIndex::without_log(array, config)?)
+            }
+        };
+        Ok(Self { backend, core: EngineCore::new(), pending_docs: Vec::new() })
+    }
+
     /// Open (recover) a durable engine from `dir`: restore the checkpoint's
     /// engine metadata, then replay WAL batches — including their document
     /// appends and vocabulary growth.
@@ -342,14 +349,16 @@ impl DurableEngine {
 
     // ----- updates -----
 
-    /// Add a document; returns its assigned id. Not yet durable — the
-    /// document text is logged (and committed) by the next [`Self::flush`].
+    /// Add a document; returns its assigned id. The text goes through the
+    /// paper's lexer: letter/digit tokens, lowercasing, header-line
+    /// skipping, per-document dedup. Not yet durable — the document text
+    /// is logged (and committed) by the next [`Self::flush`].
     pub fn add_document(&mut self, text: &str) -> invidx_durable::Result<DocId> {
-        let words = self.core.lex_and_intern(text);
+        let words = self.core.lex_and_intern(text)?;
         let doc = DocId(self.core.next_doc);
-        self.backend.insert_document(doc, words)?;
+        self.backend.l0_mut().insert_document(doc, words)?;
         self.core.next_doc += 1;
-        self.core.docs.store(self.backend.inner_mut().sidecar_array(), doc, text)?;
+        self.core.docs.store(self.backend.l0_mut().inner_mut().sidecar_array(), doc, text)?;
         self.core.register_doc(doc, text);
         self.core.total_docs += 1;
         self.pending_docs.push((doc, text.to_string()));
@@ -362,8 +371,8 @@ impl DurableEngine {
     /// as calling [`Self::add_document`] once per text — recovery replays
     /// the logged texts one at a time and converges on identical state.
     pub fn add_documents(&mut self, texts: &[&str]) -> invidx_durable::Result<Vec<DocId>> {
-        let threads = self.backend.inner().ingest_threads();
-        let words = self.core.lex_batch(texts, threads);
+        let threads = self.backend.l0().inner().ingest_threads();
+        let words = self.core.lex_batch(texts, threads)?;
         let mut ids = Vec::with_capacity(texts.len());
         let mut batch = Vec::with_capacity(texts.len());
         for per_doc in words {
@@ -372,9 +381,9 @@ impl DurableEngine {
             batch.push((doc, per_doc));
             ids.push(doc);
         }
-        self.backend.insert_documents(batch, threads)?;
+        self.backend.l0_mut().insert_documents(batch, threads)?;
         for (doc, text) in ids.iter().zip(texts) {
-            self.core.docs.store(self.backend.inner_mut().sidecar_array(), *doc, text)?;
+            self.core.docs.store(self.backend.l0_mut().inner_mut().sidecar_array(), *doc, text)?;
             self.core.register_doc(*doc, text);
             self.core.total_docs += 1;
             self.pending_docs.push((*doc, text.to_string()));
@@ -387,7 +396,7 @@ impl DurableEngine {
         // Deletions can shrink any list; conservatively invalidate the
         // whole snapshot view (see `EngineCore::dirty_all`).
         self.core.dirty_all = true;
-        self.backend.delete_document(doc);
+        self.backend.l0_mut().delete_document(doc);
     }
 
     /// Flush the buffered batch: WAL-commit the postings, the deletions,
@@ -395,11 +404,15 @@ impl DurableEngine {
     /// engine a flush that crosses the L0 budget also seals a segment
     /// and runs one compaction tick, each committed durably.
     pub fn flush(&mut self) -> invidx_durable::Result<BatchReport> {
-        self.backend.set_checkpoint_meta(self.core.encode_meta());
-        let meta = encode_batch_meta(&self.pending_docs);
-        let report = self.backend.flush_with_meta(meta)?;
+        self.stage_checkpoint_meta();
+        let report = self.backend.flush_with_meta(|| encode_batch_meta(&self.pending_docs))?;
         self.pending_docs.clear();
         Ok(report)
+    }
+
+    /// Hand the store the engine blob its next checkpoint must embed.
+    fn stage_checkpoint_meta(&mut self) {
+        self.backend.set_checkpoint_meta(|| self.core.encode_meta());
     }
 
     /// Run the deletion sweep as a logged, replayable operation
@@ -407,7 +420,7 @@ impl DurableEngine {
     /// through compaction instead).
     pub fn sweep(&mut self) -> invidx_durable::Result<SweepReport> {
         self.core.dirty_all = true;
-        self.backend.set_checkpoint_meta(self.core.encode_meta());
+        self.stage_checkpoint_meta();
         self.backend.sweep()
     }
 
@@ -415,8 +428,8 @@ impl DurableEngine {
     /// boundary — flush first). Operates on L0 under the segmented engine.
     pub fn compact(&mut self) -> invidx_durable::Result<CompactReport> {
         self.core.dirty_all = true;
-        self.backend.set_checkpoint_meta(self.core.encode_meta());
-        self.backend.compact()
+        self.stage_checkpoint_meta();
+        self.backend.l0_mut().compact()
     }
 
     /// Rehash the bucket space to a new geometry (logged; needs a batch
@@ -427,8 +440,8 @@ impl DurableEngine {
         capacity_units: u64,
     ) -> invidx_durable::Result<RebalanceReport> {
         self.core.dirty_all = true;
-        self.backend.set_checkpoint_meta(self.core.encode_meta());
-        self.backend.rebalance(num_buckets, capacity_units)
+        self.stage_checkpoint_meta();
+        self.backend.l0_mut().rebalance(num_buckets, capacity_units)
     }
 
     /// Materialize an immutable point-in-time view of this engine for the
@@ -437,14 +450,14 @@ impl DurableEngine {
         &mut self,
         prev: Option<&crate::EngineSnapshot>,
     ) -> invidx_core::Result<crate::EngineSnapshot> {
-        let array = self.backend.inner().array();
+        let array = self.backend.l0().inner().array();
         crate::snapshot::materialize(&mut self.core, &self.backend, array, prev)
     }
 
     /// Write a checkpoint now (embedding current engine metadata) and reset
     /// the WAL. Returns the checkpoint size in bytes.
     pub fn checkpoint(&mut self) -> invidx_durable::Result<u64> {
-        self.backend.set_checkpoint_meta(self.core.encode_meta());
+        self.stage_checkpoint_meta();
         self.backend.checkpoint()
     }
 
@@ -456,11 +469,38 @@ impl DurableEngine {
         self.core.total_tokens
     }
 
+    fn reader(&self) -> LiveReader<'_, DurableBackend> {
+        let array = self.backend.l0().inner().array();
+        LiveReader { core: &self.core, source: &self.backend, array }
+    }
+
     /// Evaluate a typed [`EngineQuery`] — the only read entry point,
-    /// shared with [`crate::SearchEngine`] and [`crate::EngineSnapshot`].
+    /// shared with [`crate::EngineSnapshot`]. `&self`: queries share the
+    /// engine, so a serving layer can fan them out across threads while a
+    /// single writer ingests.
     pub fn execute(&self, query: &EngineQuery) -> invidx_core::Result<QueryOutput> {
-        let array = self.backend.inner().array();
-        crate::query::execute(&LiveReader { core: &self.core, source: &self.backend, array }, query)
+        crate::query::execute(&self.reader(), query)
+    }
+
+    /// [`EngineQuery::Rank`] without early termination — the brute-force
+    /// reference implementation tests and the ablation gate certify WAND
+    /// against.
+    pub fn rank_exhaustive(
+        &self,
+        text: &str,
+        k: usize,
+        params: Bm25Params,
+    ) -> invidx_core::Result<Vec<Hit>> {
+        let ctx = self.reader();
+        crate::rank::rank_like_exhaustive(
+            &ctx,
+            &crate::query::text_words(&ctx, text),
+            self.core.total_docs,
+            &self.core.doc_lengths,
+            self.core.avgdl(),
+            params,
+            k,
+        )
     }
 
     // ----- replication -----
@@ -489,6 +529,8 @@ impl DurableEngine {
     /// or batch number poisons nothing but returns `Corrupt`, and the
     /// caller should re-seed the replica.
     pub fn apply_replicated(&mut self, record: &WalRecord) -> invidx_durable::Result<u64> {
+        // A replica recovers from, and is tailed through, its own log.
+        self.backend.l0().last_checkpoint_batch().ok_or(DurableError::NoLog)?;
         let expect = self.backend.l0().batches() + 1;
         if record.batch() != expect {
             return Err(DurableError::Corrupt(format!(
@@ -538,13 +580,14 @@ impl DurableEngine {
 
     /// The stored text of a document.
     pub fn document(&self, doc: DocId) -> invidx_core::Result<Option<String>> {
-        self.core.docs.load(self.backend.inner().array(), doc)
+        self.core.docs.load(self.backend.l0().inner().array(), doc)
     }
 
     // ----- introspection -----
 
-    /// The underlying durable index (WAL size, checkpoint state, recovery
-    /// report, fault injector) — L0 when segmented.
+    /// The underlying index (batch count, WAL size, checkpoint state,
+    /// recovery report, fault injector; `.inner()` for the dual-structure
+    /// index itself) — L0 when segmented.
     pub fn index(&self) -> &DurableIndex {
         self.backend.l0()
     }
@@ -741,6 +784,58 @@ mod tests {
         assert!(replica.apply_replicated(&stale[0]).is_err());
         std::fs::remove_dir_all(&pdir).ok();
         std::fs::remove_dir_all(&rdir).ok();
+    }
+
+    /// The vocabulary blob stores a word's length in 16 bits and the lexer
+    /// caps nothing: a 70,000-letter token used to checkpoint a blob that
+    /// no longer parsed, taking every document in the store with it.
+    #[test]
+    fn over_long_word_is_refused_and_the_store_reopens() {
+        let dir = tmpdir("longword");
+        let opts = DurableOptions { checkpoint_every: 0, ..Default::default() };
+        let mut e = DurableEngine::create(&dir, IndexConfig::small(), geom(), opts).unwrap();
+        let hostile = format!("cat {} dog", "a".repeat(70_000));
+        let refused = e.add_document(&hostile).unwrap_err();
+        assert!(matches!(refused, DurableError::Index(IndexError::InvalidConfig(_))), "{refused}");
+        assert!(e.add_documents(&["fine words", &hostile]).is_err());
+        // Nothing of either refused call stuck: no ids, words or documents.
+        assert_eq!((e.total_docs(), e.vocabulary_size()), (0, 0));
+        assert_eq!(e.add_document("the cat sat").unwrap(), DocId(1));
+        e.flush().unwrap();
+        e.checkpoint().unwrap();
+        drop(e);
+
+        let e = DurableEngine::open(&dir, IndexConfig::small(), opts).unwrap();
+        assert_eq!(hits(&e, "cat"), vec![DocId(1)]);
+        assert!(hits(&e, "dog").is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A shipped record is outside input: its document count must not be
+    /// trusted with an allocation (this one used to abort the replica).
+    #[test]
+    fn hostile_batch_meta_count_is_an_error_not_an_abort() {
+        let dir = tmpdir("hostilemeta");
+        let opts = DurableOptions { checkpoint_every: 0, ..Default::default() };
+        let mut e = DurableEngine::create(&dir, IndexConfig::small(), geom(), opts).unwrap();
+        let record = WalRecord::Batch {
+            batch: 1,
+            lists: vec![],
+            deletes: vec![],
+            meta: u32::MAX.to_le_bytes().to_vec(),
+        };
+        assert!(matches!(e.apply_replicated(&record).unwrap_err(), DurableError::Corrupt(_)));
+        // So must the two counts in the checkpoint's engine blob.
+        for count_at in [36, 44] {
+            let mut blob = EngineCore::new().encode_meta();
+            blob[count_at..count_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            assert!(matches!(EngineCore::decode_meta(&blob), Err(IndexError::Corruption(_))));
+        }
+        // The engine is alive and unharmed.
+        e.add_document("the cat sat").unwrap();
+        e.flush().unwrap();
+        assert_eq!(hits(&e, "cat"), vec![DocId(1)]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

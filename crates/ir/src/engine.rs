@@ -1,136 +1,26 @@
-//! The end-to-end search engine: text documents in, ranked results out.
-//!
-//! [`SearchEngine`] glues the corpus lexer (paper §4.2), a string → word-id
-//! interner ("all words in batch updates are converted to unique
-//! integers"), the dual-structure index, and the two query models of §1.
-//! It also ships a small boolean query-string parser so examples and tests
+//! What [`crate::DurableEngine`] is made of besides its index:
+//! [`EngineCore`] (document store, vocabulary, id counters — the state
+//! the engine logs per batch and embeds in checkpoints), the
+//! [`LiveReader`] it lends the query evaluator, the text-verification
+//! passes, and a small boolean query-string parser so examples and tests
 //! can write `(cat and dog) or mouse` — the paper's own example query.
-//!
-//! The engine state that is *not* the index proper — the document store,
-//! the vocabulary, and the id counters — lives in [`EngineCore`], shared
-//! with the crash-safe [`crate::DurableEngine`]. `SearchEngine` persists
-//! that state with an explicit metadata blob ([`SearchEngine::save_meta`]);
-//! the durable engine carries the same blob in WAL records and checkpoints.
 
 use crate::boolean::{PostingSource, Query};
 use crate::docstore::DocStore;
 use crate::proximity;
-use crate::query::{EngineQuery, QueryOutput, ReadContext};
-use crate::rank::Bm25Params;
-use crate::vector::Hit;
-use invidx_core::index::{BatchReport, DualIndex, EngineKind, IndexConfig, SweepReport};
+use crate::query::ReadContext;
 use invidx_core::postings::PostingList;
 use invidx_core::types::{DocId, IndexError, Result, WordId};
 use invidx_corpus::lexer;
 use invidx_disk::DiskArray;
-use invidx_segment::{SegmentStats, SegmentedIndex};
 use std::collections::{HashMap, HashSet};
 
-impl PostingSource for SegmentedIndex {
-    fn postings(&self, word: WordId) -> Result<PostingList> {
-        let _stage = invidx_obs::trace::stage("term");
-        let list = SegmentedIndex::postings(self, word)?;
-        invidx_obs::trace::add_items(list.len() as u64);
-        Ok(list)
-    }
-}
-
-/// The index behind a [`SearchEngine`]: the paper's mutable in-place
-/// store, or the segment-tiered store with that same structure demoted
-/// to L0. Selected by [`IndexConfig::engine`] at creation.
-pub(crate) enum Backend {
-    /// Update-in-place dual-structure index (the paper's design).
-    InPlace(DualIndex),
-    /// L0 dual-structure index plus immutable sealed segments.
-    Segmented(SegmentedIndex),
-}
-
-impl Backend {
-    fn create(array: DiskArray, config: IndexConfig) -> Result<Self> {
-        match config.engine {
-            EngineKind::InPlace => Ok(Backend::InPlace(DualIndex::create(array, config)?)),
-            EngineKind::Segmented { .. } => {
-                Ok(Backend::Segmented(SegmentedIndex::create(array, config)?))
-            }
-        }
-    }
-
-    /// The dual-structure index: the whole store in-place, L0 when
-    /// segmented. Its disk array is the one the document store shares.
-    fn dual(&self) -> &DualIndex {
-        match self {
-            Backend::InPlace(ix) => ix,
-            Backend::Segmented(ix) => ix.l0(),
-        }
-    }
-
-    fn dual_mut(&mut self) -> &mut DualIndex {
-        match self {
-            Backend::InPlace(ix) => ix,
-            Backend::Segmented(ix) => ix.l0_mut(),
-        }
-    }
-
-    /// Segment-tier statistics, when this backend is segmented.
-    fn segment_stats(&self) -> Option<SegmentStats> {
-        match self {
-            Backend::InPlace(_) => None,
-            Backend::Segmented(ix) => Some(ix.stats()),
-        }
-    }
-
-    fn insert_document(&mut self, doc: DocId, words: Vec<WordId>) -> Result<()> {
-        match self {
-            Backend::InPlace(ix) => ix.insert_document(doc, words),
-            Backend::Segmented(ix) => Ok(ix.insert_document(doc, words)?),
-        }
-    }
-
-    fn insert_documents(&mut self, docs: Vec<(DocId, Vec<WordId>)>, threads: usize) -> Result<()> {
-        match self {
-            Backend::InPlace(ix) => ix.insert_documents(docs, threads),
-            Backend::Segmented(ix) => Ok(ix.insert_documents(docs, threads)?),
-        }
-    }
-
-    fn delete_document(&mut self, doc: DocId) {
-        match self {
-            Backend::InPlace(ix) => ix.delete_document(doc),
-            Backend::Segmented(ix) => ix.delete_document(doc),
-        }
-    }
-
-    fn flush_batch(&mut self) -> Result<BatchReport> {
-        match self {
-            Backend::InPlace(ix) => ix.flush_batch(),
-            Backend::Segmented(ix) => Ok(ix.flush_batch()?),
-        }
-    }
-
-    fn sweep(&mut self) -> Result<SweepReport> {
-        match self {
-            Backend::InPlace(ix) => ix.sweep(),
-            // Sweeping L0 would clear tombstones that sealed segments
-            // still need for read-time filtering; deletions are instead
-            // dropped for good when segments merge.
-            Backend::Segmented(_) => Err(IndexError::InvalidConfig(
-                "the segmented engine has no sweep; deletions are purged by compaction".into(),
-            )),
-        }
-    }
-}
-
-impl PostingSource for Backend {
-    fn postings(&self, word: WordId) -> Result<PostingList> {
-        match self {
-            Backend::InPlace(ix) => PostingSource::postings(ix, word),
-            Backend::Segmented(ix) => PostingSource::postings(ix, word),
-        }
-    }
-}
+/// Longest word the vocabulary holds: [`EngineCore::encode_meta`] stores a
+/// word's length in 16 bits, and the lexer caps nothing.
+const MAX_WORD_BYTES: usize = u16::MAX as usize;
 
 /// Engine state beyond the index itself: stored documents, the word
-/// interner, and the id counters, shared by the plain and durable engines.
+/// interner, and the id counters.
 pub(crate) struct EngineCore {
     pub(crate) docs: DocStore,
     pub(crate) vocab: HashMap<String, WordId>,
@@ -204,9 +94,12 @@ impl EngineCore {
 
     /// Lex a document and intern every word, in lexer order. Interning
     /// order determines word-id assignment, so recovery re-runs exactly
-    /// this to reproduce the vocabulary.
-    pub(crate) fn lex_and_intern(&mut self, text: &str) -> Vec<WordId> {
-        lexer::document_words(text).iter().map(|w| self.intern(w)).collect()
+    /// this to reproduce the vocabulary. A document with a word the
+    /// vocabulary cannot hold is refused before anything is interned.
+    pub(crate) fn lex_and_intern(&mut self, text: &str) -> Result<Vec<WordId>> {
+        let words = lexer::document_words(text);
+        check_word_lengths(&words)?;
+        Ok(words.iter().map(|w| self.intern(w)).collect())
     }
 
     /// Lex a batch of documents across `threads` workers, then intern
@@ -215,33 +108,20 @@ impl EngineCore {
     /// step — stays sequential, which makes word-id assignment identical
     /// to calling [`Self::lex_and_intern`] once per document. Recovery
     /// replays documents one at a time and still reproduces the same
-    /// vocabulary.
-    pub(crate) fn lex_batch(&mut self, texts: &[&str], threads: usize) -> Vec<Vec<WordId>> {
+    /// vocabulary. One over-long word refuses the whole batch before any
+    /// of it is interned.
+    pub(crate) fn lex_batch(&mut self, texts: &[&str], threads: usize) -> Result<Vec<Vec<WordId>>> {
         let threads = threads.max(1);
-        if threads == 1 || texts.len() < 2 {
-            return texts.iter().map(|t| self.lex_and_intern(t)).collect();
+        let lexed: Vec<Vec<String>> = if threads == 1 || texts.len() < 2 {
+            texts.iter().map(|t| lexer::document_words(t)).collect()
+        } else {
+            invidx_obs::counter!(invidx_obs::names::INGEST_LEXED_DOCS).add(texts.len() as u64);
+            lex_parallel(texts, threads)
+        };
+        for words in &lexed {
+            check_word_lengths(words)?;
         }
-        let chunk = texts.len().div_ceil(threads);
-        let lexed: Vec<Vec<String>> = std::thread::scope(|s| {
-            let handles: Vec<_> = texts
-                .chunks(chunk)
-                .map(|group| {
-                    s.spawn(move || {
-                        group.iter().map(|t| lexer::document_words(t)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            let mut all = Vec::with_capacity(texts.len());
-            for h in handles {
-                match h.join() {
-                    Ok(group) => all.extend(group),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-            all
-        });
-        invidx_obs::counter!(invidx_obs::names::INGEST_LEXED_DOCS).add(texts.len() as u64);
-        lexed.iter().map(|words| words.iter().map(|w| self.intern(w)).collect()).collect()
+        Ok(lexed.iter().map(|words| words.iter().map(|w| self.intern(w)).collect()).collect())
     }
 
     /// Serialize everything beyond what the index persists itself:
@@ -298,15 +178,16 @@ impl EngineCore {
         let next_doc = word_field!(u32, 4, "next_doc");
         let total_docs = word_field!(u64, 8, "total_docs");
         let total_tokens = word_field!(u64, 8, "total_tokens");
+        // Counts come from disk: never reserve more than the blob could hold.
         let lens_len = word_field!(u64, 8, "lens_len") as usize;
-        let mut doc_lengths = HashMap::with_capacity(lens_len);
+        let mut doc_lengths = HashMap::with_capacity(lens_len.min(meta.len() / 8));
         for _ in 0..lens_len {
             let doc = DocId(word_field!(u32, 4, "len_doc"));
             let len = word_field!(u32, 4, "len_val");
             doc_lengths.insert(doc, len);
         }
         let vocab_len = word_field!(u64, 8, "vocab_len") as usize;
-        let mut vocab = HashMap::with_capacity(vocab_len);
+        let mut vocab = HashMap::with_capacity(vocab_len.min(meta.len() / 10));
         for _ in 0..vocab_len {
             let id = WordId(word_field!(u64, 8, "word_id"));
             let wlen = word_field!(u16, 2, "word_len") as usize;
@@ -328,6 +209,36 @@ impl EngineCore {
             dirty_all: true,
         })
     }
+}
+
+fn check_word_lengths(words: &[String]) -> Result<()> {
+    match words.iter().find(|w| w.len() > MAX_WORD_BYTES) {
+        None => Ok(()),
+        Some(long) => Err(IndexError::InvalidConfig(format!(
+            "document refused: a {}-byte word exceeds the vocabulary's {MAX_WORD_BYTES}-byte limit",
+            long.len()
+        ))),
+    }
+}
+
+fn lex_parallel(texts: &[&str], threads: usize) -> Vec<Vec<String>> {
+    let chunk = texts.len().div_ceil(threads);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = texts
+            .chunks(chunk)
+            .map(|group| {
+                s.spawn(move || group.iter().map(|t| lexer::document_words(t)).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut all = Vec::with_capacity(texts.len());
+        for h in handles {
+            match h.join() {
+                Ok(group) => all.extend(group),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        all
+    })
 }
 
 /// What a live engine lends the evaluator for one query: its core, its
@@ -366,238 +277,12 @@ impl<S: PostingSource> ReadContext for LiveReader<'_, S> {
     }
 }
 
-/// A text search engine over the dual-structure index.
-///
-/// Documents are stored alongside the index (in a [`DocStore`] sharing the
-/// same disks), enabling the paper's §1 positional conditions: inverted
-/// lists prune the candidates, the stored text verifies proximity and
-/// phrase predicates.
-/// ```
-/// use invidx_core::index::IndexConfig;
-/// use invidx_disk::sparse_array;
-/// use invidx_ir::{EngineQuery, SearchEngine};
-///
-/// let array = sparse_array(2, 50_000, 256);
-/// let mut engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
-/// engine.add_document("the cat sat on the mat").unwrap();
-/// engine.add_document("the dog chased the cat").unwrap();
-/// engine.flush().unwrap();
-/// let both = engine.execute(&EngineQuery::boolean("cat and dog")).unwrap();
-/// assert_eq!(both.docs().unwrap().len(), 1);
-/// let near = engine.execute(&EngineQuery::near("dog", "cat", 3)).unwrap();
-/// assert_eq!(near.docs().unwrap().len(), 1);
-/// ```
-pub struct SearchEngine {
-    backend: Backend,
-    core: EngineCore,
-}
-
-impl SearchEngine {
-    /// Create a fresh engine on the given disks. [`IndexConfig::engine`]
-    /// picks the backend: in-place (the paper's design) or segmented.
-    pub fn create(array: DiskArray, config: IndexConfig) -> Result<Self> {
-        Ok(Self { backend: Backend::create(array, config)?, core: EngineCore::new() })
-    }
-
-    /// Serialize the engine's metadata (vocabulary, document directory,
-    /// counters) — everything beyond what `DualIndex` persists itself.
-    /// Write this beside the device files after each flush; pass it to
-    /// [`SearchEngine::open`] to restore.
-    pub fn save_meta(&self) -> Vec<u8> {
-        self.core.encode_meta()
-    }
-
-    /// Assemble an engine from an already-recovered index plus
-    /// [`SearchEngine::save_meta`] bytes. Document-store extents are
-    /// re-reserved in the index's allocators.
-    pub fn from_parts(mut index: DualIndex, meta: &[u8]) -> Result<Self> {
-        let core = EngineCore::decode_meta(meta)?;
-        for (_, disk, start, blocks) in core.docs.extents() {
-            index.reserve_extent(disk, start, blocks)?;
-        }
-        Ok(Self { backend: Backend::InPlace(index), core })
-    }
-
-    /// Re-open an engine: recover the index from `array` (see
-    /// [`DualIndex::open`]) and the engine metadata from `meta` bytes.
-    /// Document-store extents are re-reserved in the allocators.
-    /// In-place only: the segmented engine's manifest lives in a store
-    /// directory, so it reopens through [`crate::DurableEngine`].
-    pub fn open(array: DiskArray, config: IndexConfig, meta: &[u8]) -> Result<Self> {
-        if !matches!(config.engine, EngineKind::InPlace) {
-            return Err(IndexError::InvalidConfig(
-                "the segmented engine reopens through DurableEngine (its manifest \
-                 is part of the durable store directory)"
-                    .into(),
-            ));
-        }
-        Self::from_parts(DualIndex::open(array, config)?, meta)
-    }
-
-    /// The dual-structure index: the whole store for the in-place
-    /// engine, the L0 tier for the segmented one.
-    pub fn index(&self) -> &DualIndex {
-        self.backend.dual()
-    }
-
-    /// Mutable access to the dual-structure index (see [`Self::index`]).
-    pub fn index_mut(&mut self) -> &mut DualIndex {
-        self.backend.dual_mut()
-    }
-
-    /// Segment-tier statistics, when running the segmented engine.
-    pub fn segment_stats(&self) -> Option<SegmentStats> {
-        self.backend.segment_stats()
-    }
-
-    /// Documents added so far.
-    pub fn total_docs(&self) -> u64 {
-        self.core.total_docs
-    }
-
-    /// Block-cache counters, if the index was configured with a cache
-    /// (`IndexConfig::cache_blocks > 0`).
-    pub fn cache_stats(&self) -> Option<invidx_core::cache::CacheStats> {
-        self.backend.dual().cache_stats()
-    }
-
-    /// Distinct words interned so far.
-    pub fn vocabulary_size(&self) -> usize {
-        self.core.vocab.len()
-    }
-
-    /// Intern a word (lowercased by the caller/lexer).
-    pub fn intern(&mut self, word: &str) -> WordId {
-        self.core.intern(word)
-    }
-
-    /// Look up a word without interning.
-    pub fn word_id(&self, word: &str) -> Option<WordId> {
-        self.core.word_id(word)
-    }
-
-    /// Add a document; returns its assigned id. The text goes through the
-    /// paper's lexer: letter/digit tokens, lowercasing, header-line
-    /// skipping, per-document dedup.
-    pub fn add_document(&mut self, text: &str) -> Result<DocId> {
-        let words = self.core.lex_and_intern(text);
-        let doc = DocId(self.core.next_doc);
-        self.core.next_doc += 1;
-        self.backend.insert_document(doc, words)?;
-        self.core.docs.store(self.backend.dual_mut().sidecar_array(), doc, text)?;
-        self.core.register_doc(doc, text);
-        self.core.total_docs += 1;
-        Ok(doc)
-    }
-
-    /// Add a batch of documents in one call. Texts are tokenized across
-    /// the configured ingest-thread pool, interned serially in document
-    /// order (identical word-id assignment to one-at-a-time adds), and
-    /// inverted by the word-sharded parallel inverter. Document ids are
-    /// assigned in input order and the result is byte-identical to
-    /// calling [`Self::add_document`] for each text in turn.
-    pub fn add_documents(&mut self, texts: &[&str]) -> Result<Vec<DocId>> {
-        let threads = self.backend.dual().ingest_threads();
-        let words = self.core.lex_batch(texts, threads);
-        let mut ids = Vec::with_capacity(texts.len());
-        let mut batch = Vec::with_capacity(texts.len());
-        for per_doc in words {
-            let doc = DocId(self.core.next_doc);
-            self.core.next_doc += 1;
-            batch.push((doc, per_doc));
-            ids.push(doc);
-        }
-        self.backend.insert_documents(batch, threads)?;
-        for (doc, text) in ids.iter().zip(texts) {
-            self.core.docs.store(self.backend.dual_mut().sidecar_array(), *doc, text)?;
-            self.core.register_doc(*doc, text);
-            self.core.total_docs += 1;
-        }
-        Ok(ids)
-    }
-
-    /// The stored text of a document.
-    pub fn document(&self, doc: DocId) -> Result<Option<String>> {
-        self.core.docs.load(self.backend.dual().array(), doc)
-    }
-
-    /// Flush the current batch to disk. On the segmented engine this
-    /// also runs the seal policy and one compaction tick.
-    pub fn flush(&mut self) -> Result<BatchReport> {
-        self.backend.flush_batch()
-    }
-
-    /// Logically delete a document.
-    pub fn delete(&mut self, doc: DocId) {
-        // A deletion can shrink any list the document appears in; the
-        // dirty-word set only tracks additions, so invalidate everything.
-        self.core.dirty_all = true;
-        self.backend.delete_document(doc);
-    }
-
-    /// Run the deletion sweep (in-place engine only; the segmented
-    /// engine purges deletions through compaction instead).
-    pub fn sweep(&mut self) -> Result<SweepReport> {
-        self.core.dirty_all = true;
-        self.backend.sweep()
-    }
-
-    /// Materialize an immutable point-in-time view of this engine for the
-    /// lock-free serving read path. Pass the previous snapshot to reuse
-    /// unchanged posting lists and texts (only dirty words are re-read).
-    pub fn snapshot(&mut self, prev: Option<&crate::EngineSnapshot>) -> Result<crate::EngineSnapshot> {
-        let array = self.backend.dual().array();
-        crate::snapshot::materialize(&mut self.core, &self.backend, array, prev)
-    }
-
-    /// Total lexer tokens across all added documents (BM25 avgdl
-    /// numerator; ships with DF responses so a router can compute the
-    /// corpus-global average document length).
-    pub fn total_tokens(&self) -> u64 {
-        self.core.total_tokens
-    }
-
-    fn reader(&self) -> LiveReader<'_, Backend> {
-        LiveReader { core: &self.core, source: &self.backend, array: self.backend.dual().array() }
-    }
-
-    /// Evaluate a typed [`EngineQuery`] — the only read entry point,
-    /// shared with [`crate::DurableEngine`] and [`crate::EngineSnapshot`].
-    /// `&self`: queries share the engine, so a serving layer can fan them
-    /// out across threads while a single writer ingests.
-    pub fn execute(&self, query: &EngineQuery) -> Result<QueryOutput> {
-        crate::query::execute(&self.reader(), query)
-    }
-
-    /// [`EngineQuery::Rank`] without early termination — the brute-force
-    /// reference implementation tests and the ablation gate certify WAND
-    /// against.
-    pub fn rank_exhaustive(&self, text: &str, k: usize, params: Bm25Params) -> Result<Vec<Hit>> {
-        let ctx = self.reader();
-        crate::rank::rank_like_exhaustive(
-            &ctx,
-            &crate::query::text_words(&ctx, text),
-            self.core.total_docs,
-            &self.core.doc_lengths,
-            self.core.avgdl(),
-            params,
-            k,
-        )
-    }
-}
-
-impl PostingSource for SearchEngine {
-    fn postings(&self, word: WordId) -> Result<PostingList> {
-        self.backend.postings(word)
-    }
-}
-
 // ----- shared query helpers -----
 //
 // The text-verification passes and the query parser are free functions
-// over (candidates, text loader, vocabulary) so the live engines and the
+// over (candidates, text loader, vocabulary) so the live engine and the
 // materialized [`crate::EngineSnapshot`] run *identical* logic — snapshot
-// parity with the engines is by construction, not by parallel maintenance.
+// parity with the engine is by construction, not by parallel maintenance.
 
 /// Positional-window verification over pruned candidates: keep the
 /// documents where `w1` and `w2` occur within `window` positions.
@@ -787,15 +472,17 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DurableEngine, EngineQuery, QueryOutput};
+    use invidx_core::index::IndexConfig;
     use invidx_disk::sparse_array;
 
-    fn engine() -> SearchEngine {
+    fn engine() -> DurableEngine {
         let array = sparse_array(2, 50_000, 256);
-        SearchEngine::create(array, IndexConfig::small()).unwrap()
+        DurableEngine::without_log(array, IndexConfig::small()).unwrap()
     }
 
     /// Documents matching a boolean query string.
-    fn boolean(e: &SearchEngine, query: &str) -> Vec<u32> {
+    fn boolean(e: &DurableEngine, query: &str) -> Vec<u32> {
         doc_ids(&e.execute(&EngineQuery::boolean(query)).unwrap())
     }
 
@@ -815,7 +502,7 @@ mod tests {
             seq.add_document(t).unwrap();
         }
         let config = IndexConfig { ingest_threads: 4, ..IndexConfig::small() };
-        let mut par = SearchEngine::create(sparse_array(2, 50_000, 256), config).expect("create");
+        let mut par = DurableEngine::without_log(sparse_array(2, 50_000, 256), config).expect("create");
         let ids = par.add_documents(&refs).unwrap();
 
         assert_eq!(ids, (1..=24).map(DocId).collect::<Vec<_>>());
@@ -962,58 +649,15 @@ mod tests {
     }
 
     #[test]
-    fn engine_persistence_round_trip() {
-        use invidx_disk::{Disk, DiskArray, FileDevice, FitStrategy, FreeList};
-        let dir = std::env::temp_dir().join(format!("invidx-eng-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let file_array = |create: bool| {
-            let disks = (0..2u16)
-                .map(|d| {
-                    let path = dir.join(format!("disk{d}.bin"));
-                    let device: Box<dyn invidx_disk::BlockDevice> = if create {
-                        Box::new(FileDevice::create(&path, 20_000, 256).unwrap())
-                    } else {
-                        Box::new(FileDevice::open(&path, 256).unwrap())
-                    };
-                    Disk { device, alloc: Box::new(FreeList::new(20_000, FitStrategy::FirstFit)) }
-                })
-                .collect();
-            DiskArray::new(disks)
-        };
-        let config = IndexConfig::small();
-        let meta = {
-            let mut e = SearchEngine::create(file_array(true), config).unwrap();
-            e.add_document("the cat sat beside the dog").unwrap();
-            e.add_document("a mouse ran past the cat").unwrap();
-            e.flush().unwrap();
-            e.save_meta()
-        };
-        let mut e = SearchEngine::open(file_array(false), config, &meta).unwrap();
-        assert_eq!(e.total_docs(), 2);
-        assert_eq!(boolean(&e, "cat and dog").len(), 1);
-        assert_eq!(e.document(DocId(1)).unwrap().unwrap(), "the cat sat beside the dog");
-        assert_eq!(doc_ids(&e.execute(&EngineQuery::near("cat", "mouse", 5)).unwrap()).len(), 1);
-        // The engine keeps working: new documents get fresh ids and the
-        // vocabulary keeps interning consistently.
-        let d3 = e.add_document("another cat arrives").unwrap();
-        assert_eq!(d3, DocId(3));
-        e.flush().unwrap();
-        assert_eq!(boolean(&e, "cat").len(), 3);
-        // Corrupt meta is rejected.
-        assert!(SearchEngine::open(file_array(false), config, b"garbage").is_err());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn vocabulary_interning_is_stable() {
-        let mut e = engine();
-        let a = e.intern("cat");
-        let b = e.intern("cat");
-        let c = e.intern("dog");
+        let mut core = EngineCore::new();
+        let a = core.intern("cat");
+        let b = core.intern("cat");
+        let c = core.intern("dog");
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(e.vocabulary_size(), 2);
-        assert_eq!(e.word_id("CAT"), Some(a));
-        assert_eq!(e.word_id("missing"), None);
+        assert_eq!(core.vocab.len(), 2);
+        assert_eq!(core.word_id("CAT"), Some(a));
+        assert_eq!(core.word_id("missing"), None);
     }
 }

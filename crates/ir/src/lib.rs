@@ -4,13 +4,13 @@
 //! boolean systems ("(cat and dog) or mouse") evaluated by merging sorted
 //! inverted lists, and vector-model systems that "locate documents that
 //! maximize the weighted sum of occurring words", using inverted lists to
-//! prune candidates. This crate provides both, plus [`engine::SearchEngine`]
-//! — a complete text-in/results-out engine combining the corpus lexer, a
-//! word interner, and [`invidx_core::DualIndex`] — its crash-safe sibling
-//! [`DurableEngine`], and the immutable [`EngineSnapshot`] the serving
-//! layer reads from.
+//! prune candidates. This crate provides both, plus [`DurableEngine`] — a
+//! complete text-in/results-out engine combining the corpus lexer, a word
+//! interner, and [`invidx_core::DualIndex`], crash-safe when built in a
+//! store directory and log-less over a bare disk array — and the
+//! immutable [`EngineSnapshot`] the serving layer reads from.
 //!
-//! All three answer queries through one method, `execute(&EngineQuery)`,
+//! Both answer queries through one method, `execute(&EngineQuery)`,
 //! and one evaluator ([`query`]): the paper's index serves both retrieval
 //! models through a single operation — fetch an inverted list
 //! ([`PostingSource`]) — and so does this crate.
@@ -31,7 +31,6 @@ pub mod vector;
 pub use boolean::{PostingSource, Query};
 pub use docstore::DocStore;
 pub use durable_engine::DurableEngine;
-pub use engine::SearchEngine;
 pub use query::{EngineQuery, QueryOutput};
 pub use rank::{rank_exhaustive, rank_like, rank_seeded, Bm25Params};
 pub use snapshot::EngineSnapshot;

@@ -3,15 +3,13 @@
 //! [`EngineQuery`] collapses every read verb (boolean, phrase, proximity,
 //! LIKE, BM25 `Rank`, the router's weighted/DF phases, document fetch)
 //! into one data type with a single `execute(&EngineQuery) ->
-//! QueryOutput` entry point on [`crate::SearchEngine`],
-//! [`crate::DurableEngine`], and [`crate::EngineSnapshot`]. All three
-//! run the crate-private `query::execute` — the only evaluator in the
-//! crate — written once against `ReadContext`, the read-only state a
-//! query needs. The live
-//! engines lend their core and backend, a snapshot lends its
-//! materialized maps, and dispatch is static either way, so a new verb or
-//! a read-path change lands in exactly one place and the engines cannot
-//! drift apart.
+//! QueryOutput` entry point on [`crate::DurableEngine`] and
+//! [`crate::EngineSnapshot`]. Both run the crate-private
+//! `query::execute` — the only evaluator in the crate — written once
+//! against `ReadContext`, the read-only state a query needs. The live
+//! engine lends its core and backend, a snapshot lends its materialized
+//! maps, and dispatch is static either way, so a new verb or a read-path
+//! change lands in exactly one place and the two cannot drift apart.
 
 use crate::boolean::{PostingSource, Query};
 use crate::engine::{filter_phrase, filter_within, parse_query_with};

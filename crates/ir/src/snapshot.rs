@@ -17,8 +17,8 @@
 //!
 //! A snapshot has no evaluator of its own: it implements the evaluator's
 //! `ReadContext` over its maps and [`EngineSnapshot::execute`] runs the
-//! same crate-private `query::execute` as the live engines, so snapshot
-//! answers — scores included, bit-exactly — match them by construction.
+//! same crate-private `query::execute` as the live engine, so snapshot
+//! answers — scores included, bit-exactly — match it by construction.
 
 use crate::boolean::PostingSource;
 use crate::engine::EngineCore;
@@ -60,7 +60,7 @@ impl EngineSnapshot {
     }
 
     /// Evaluate a typed [`EngineQuery`] — the only read entry point, and
-    /// the same evaluator the live engines run.
+    /// the same evaluator the live engine runs.
     pub fn execute(&self, query: &EngineQuery) -> Result<QueryOutput> {
         crate::query::execute(self, query)
     }
@@ -198,7 +198,7 @@ pub(crate) fn materialize<S: PostingSource + ?Sized>(
 mod tests {
     use super::*;
     use crate::rank::Bm25Params;
-    use crate::{DurableEngine, SearchEngine};
+    use crate::DurableEngine;
     use invidx_core::index::{EngineKind, IndexConfig};
     use invidx_disk::sparse_array;
     use invidx_durable::{DurableOptions, StoreGeometry};
@@ -277,52 +277,19 @@ mod tests {
         table
     }
 
-    /// The two engines behind one face, so the parity schedule is
-    /// written once.
-    trait Engine {
-        fn add(&mut self, text: &str);
-        fn commit(&mut self);
-        fn view(&mut self, prev: Option<&EngineSnapshot>) -> EngineSnapshot;
-        fn run(&self, query: &EngineQuery) -> Result<QueryOutput>;
-        fn counters(&self) -> (u64, usize);
-    }
-
-    macro_rules! impl_engine {
-        ($engine:ty) => {
-            impl Engine for $engine {
-                fn add(&mut self, text: &str) {
-                    self.add_document(text).unwrap();
-                }
-                fn commit(&mut self) {
-                    self.flush().unwrap();
-                }
-                fn view(&mut self, prev: Option<&EngineSnapshot>) -> EngineSnapshot {
-                    self.snapshot(prev).unwrap()
-                }
-                fn run(&self, query: &EngineQuery) -> Result<QueryOutput> {
-                    self.execute(query)
-                }
-                fn counters(&self) -> (u64, usize) {
-                    (self.total_docs(), self.vocabulary_size())
-                }
-            }
-        };
-    }
-    impl_engine!(SearchEngine);
-    impl_engine!(DurableEngine);
-
     /// Every table query on the live engine; each snapshot must answer
     /// `==` — and scores bit for bit, which `f64 ==` alone would not
     /// promise. Returns the answers for cross-engine comparison.
-    fn answers<E: Engine>(engine: &E, snaps: &[(&str, &EngineSnapshot)]) -> Vec<QueryOutput> {
+    fn answers(engine: &DurableEngine, snaps: &[(&str, &EngineSnapshot)]) -> Vec<QueryOutput> {
         let score_bits =
             |o: &QueryOutput| o.hits().map(|h| h.iter().map(|h| h.score.to_bits()).collect::<Vec<_>>());
         table()
             .iter()
             .map(|q| {
-                let live = engine.run(q).unwrap();
+                let live = engine.execute(q).unwrap();
                 for (what, snap) in snaps {
-                    assert_eq!((snap.total_docs(), snap.vocabulary_size()), engine.counters());
+                    let counters = (engine.total_docs(), engine.vocabulary_size());
+                    assert_eq!((snap.total_docs(), snap.vocabulary_size()), counters);
                     let got = snap.execute(q).unwrap();
                     assert_eq!(got, live, "{what} snapshot vs live engine: {q:?}");
                     assert_eq!(score_bits(&got), score_bits(&live), "{what} score bits: {q:?}");
@@ -334,21 +301,21 @@ mod tests {
 
     /// Two batches; after each, the live engine against a full snapshot
     /// and (after the second) the incremental one built off the first.
-    fn drive<E: Engine>(e: &mut E) -> [Vec<QueryOutput>; 2] {
+    fn drive(e: &mut DurableEngine) -> [Vec<QueryOutput>; 2] {
         let texts = corpus();
         for t in &texts[..20] {
-            e.add(t);
+            e.add_document(t).unwrap();
         }
-        e.commit();
-        let snap1 = e.view(None);
+        e.flush().unwrap();
+        let snap1 = e.snapshot(None).unwrap();
         let first = answers(e, &[("full", &snap1)]);
 
         for t in &texts[20..] {
-            e.add(t);
+            e.add_document(t).unwrap();
         }
-        e.commit();
-        let snap2 = e.view(Some(&snap1));
-        let full = e.view(None);
+        e.flush().unwrap();
+        let snap2 = e.snapshot(Some(&snap1)).unwrap();
+        let full = e.snapshot(None).unwrap();
         let second = answers(e, &[("incremental", &snap2), ("full", &full)]);
         // The first snapshot still answers for its own epoch. (The corpus
         // lexer splits letter/digit runs, so "tail25" indexes as "tail"
@@ -360,8 +327,8 @@ mod tests {
         [first, second]
     }
 
-    fn search_engine(config: IndexConfig) -> SearchEngine {
-        SearchEngine::create(sparse_array(2, 50_000, 256), config).unwrap()
+    fn log_less(config: IndexConfig) -> DurableEngine {
+        DurableEngine::without_log(sparse_array(2, 50_000, 256), config).unwrap()
     }
 
     fn segmented() -> IndexConfig {
@@ -373,7 +340,7 @@ mod tests {
 
     #[test]
     fn snapshot_matches_live_engine_in_place() {
-        let stages = drive(&mut search_engine(IndexConfig::small()));
+        let stages = drive(&mut log_less(IndexConfig::small()));
         // The table is not vacuous: it finds, ranks, counts, and fetches.
         let last = &stages[1];
         assert_eq!(ids(&last[1]), vec![1, 4, 7, 10, 13, 16, 19, 22, 25, 28]);
@@ -385,13 +352,13 @@ mod tests {
 
     #[test]
     fn snapshot_matches_live_engine_segmented() {
-        let reference = drive(&mut search_engine(IndexConfig::small()));
-        assert_eq!(drive(&mut search_engine(segmented())), reference);
+        let reference = drive(&mut log_less(IndexConfig::small()));
+        assert_eq!(drive(&mut log_less(segmented())), reference);
     }
 
     #[test]
     fn snapshot_matches_durable_engine_fresh_and_reopened() {
-        let reference = drive(&mut search_engine(IndexConfig::small()));
+        let reference = drive(&mut log_less(IndexConfig::small()));
         for (name, config) in [("inplace", IndexConfig::small()), ("segmented", segmented())] {
             let dir = std::env::temp_dir()
                 .join(format!("invidx-snap-parity-{}-{name}", std::process::id()));
@@ -405,11 +372,11 @@ mod tests {
             // Recovery dirties everything, so the first view is a full one;
             // one more batch then exercises the incremental path too.
             let mut e = DurableEngine::open(&dir, config, opts).unwrap();
-            let full = e.view(None);
+            let full = e.snapshot(None).unwrap();
             assert_eq!(answers(&e, &[("reopened", &full)]), reference[1], "{name}: reopened");
-            e.add("shared anchor cat sat near the dog again");
-            e.commit();
-            let incr = e.view(Some(&full));
+            e.add_document("shared anchor cat sat near the dog again").unwrap();
+            e.flush().unwrap();
+            let incr = e.snapshot(Some(&full)).unwrap();
             answers(&e, &[("reopened incremental", &incr)]);
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -417,7 +384,7 @@ mod tests {
 
     #[test]
     fn snapshot_tracks_deletions_via_dirty_all() {
-        let mut e = search_engine(IndexConfig::small());
+        let mut e = log_less(IndexConfig::small());
         let d1 = e.add_document("target shared words").unwrap();
         e.add_document("other shared words").unwrap();
         e.flush().unwrap();
@@ -435,7 +402,7 @@ mod tests {
 
     #[test]
     fn incremental_rematerialization_shares_unchanged_lists() {
-        let mut e = search_engine(IndexConfig::small());
+        let mut e = log_less(IndexConfig::small());
         e.add_document("stable words never touched again").unwrap();
         e.flush().unwrap();
         let snap1 = e.snapshot(None).unwrap();

@@ -2,7 +2,7 @@
 //! *observationally identical* to a plain one — only its device reads
 //! shrink.
 //!
-//! Two `SearchEngine`s run the exact same randomized schedule of batches,
+//! Two `DurableEngine`s run the exact same randomized schedule of batches,
 //! deletions, sweeps, compactions, and queries; they differ only in
 //! `IndexConfig::codec`. After every flush the full query surface is
 //! compared — boolean, phrase, proximity, LIKE and BM25 RANK (scores
@@ -15,7 +15,7 @@ use invidx_core::codec::PostingsCodec;
 use invidx_core::index::{BatchReport, EngineKind, IndexConfig};
 use invidx_core::types::DocId;
 use invidx_disk::sparse_array;
-use invidx_ir::{EngineQuery, Hit, QueryOutput, SearchEngine};
+use invidx_ir::{DurableEngine, EngineQuery, Hit, QueryOutput};
 use proptest::prelude::*;
 
 const VOCAB: &[&str] = &[
@@ -40,9 +40,9 @@ fn arb_batch() -> impl Strategy<Value = Batch> {
         .prop_map(|(docs, deletes, maintenance)| Batch { docs, deletes, maintenance })
 }
 
-fn engine(kind: EngineKind, codec: PostingsCodec) -> SearchEngine {
+fn engine(kind: EngineKind, codec: PostingsCodec) -> DurableEngine {
     let config = IndexConfig { engine: kind, codec, ..IndexConfig::small() };
-    SearchEngine::create(sparse_array(2, 40_000, 256), config).expect("engine")
+    DurableEngine::without_log(sparse_array(2, 40_000, 256), config).expect("engine")
 }
 
 fn text(doc: &[usize]) -> String {
@@ -66,15 +66,15 @@ fn shape(r: &BatchReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64) {
     )
 }
 
-fn docs(e: &SearchEngine, q: &EngineQuery, what: &str) -> Vec<DocId> {
+fn docs(e: &DurableEngine, q: &EngineQuery, what: &str) -> Vec<DocId> {
     e.execute(q).expect(what).docs().expect("docs output").docs().to_vec()
 }
 
-fn hits(e: &SearchEngine, q: &EngineQuery, what: &str) -> Vec<Hit> {
+fn hits(e: &DurableEngine, q: &EngineQuery, what: &str) -> Vec<Hit> {
     e.execute(q).expect(what).hits().expect("hits output").to_vec()
 }
 
-fn assert_twins(plain: &SearchEngine, packed: &SearchEngine) {
+fn assert_twins(plain: &DurableEngine, packed: &DurableEngine) {
     for w1 in ["alpha", "bravo", "charlie"] {
         for w2 in ["delta", "echo", "juliet"] {
             let q = format!("({w1} or {w2}) and not golf");
@@ -162,8 +162,8 @@ fn run_schedule(kind: EngineKind, codec: PostingsCodec, batches: &[Batch]) {
                     assert_eq!(sa.postings_removed, sb.postings_removed, "sweep diverged");
                 }
                 1 => {
-                    let ca = plain.index_mut().compact().expect("plain compact");
-                    let cb = packed.index_mut().compact().expect("packed compact");
+                    let ca = plain.compact().expect("plain compact");
+                    let cb = packed.compact().expect("packed compact");
                     assert_eq!(
                         (ca.lists_rewritten, ca.chunks_before, ca.chunks_after),
                         (cb.lists_rewritten, cb.chunks_before, cb.chunks_after),

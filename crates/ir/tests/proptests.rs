@@ -139,7 +139,7 @@ proptest! {
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::{EngineQuery, SearchEngine};
+use invidx_ir::{DurableEngine, EngineQuery};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -150,7 +150,7 @@ proptest! {
         ops in prop::collection::vec(0u8..3, 0..5),
     ) {
         let array = sparse_array(1, 20_000, 256);
-        let mut engine = SearchEngine::create(array, IndexConfig::small()).expect("engine");
+        let mut engine = DurableEngine::without_log(array, IndexConfig::small()).expect("engine");
         // Index one document so some words resolve.
         let text = words.join(" ");
         engine.add_document(&format!("{text} filler tokens to lengthen the body")).expect("add");

@@ -5,7 +5,7 @@
 
 use invidx_core::index::{EngineKind, IndexConfig};
 use invidx_disk::sparse_array;
-use invidx_ir::{Bm25Params, EngineQuery, SearchEngine};
+use invidx_ir::{Bm25Params, DurableEngine, EngineQuery};
 use proptest::prelude::*;
 
 const VOCAB: &[&str] = &[
@@ -13,9 +13,9 @@ const VOCAB: &[&str] = &[
     "kilo", "lima",
 ];
 
-fn engine(kind: EngineKind) -> SearchEngine {
+fn engine(kind: EngineKind) -> DurableEngine {
     let config = IndexConfig { engine: kind, ..IndexConfig::small() };
-    SearchEngine::create(sparse_array(2, 40_000, 256), config).expect("engine")
+    DurableEngine::without_log(sparse_array(2, 40_000, 256), config).expect("engine")
 }
 
 fn run(kind: EngineKind, docs: &[Vec<usize>], deletes: &[u32], query: &[usize], k: usize) {

@@ -25,7 +25,7 @@
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_durable::{DurableOptions, StoreGeometry};
-use invidx_ir::{DurableEngine, SearchEngine};
+use invidx_ir::DurableEngine;
 use invidx_router::{
     LocalShard, Partitioner, ReadPolicy, RemoteShard, ReplicaSet, ReplicaTailer, Router,
     ShardBackend, TailerOptions,
@@ -91,7 +91,7 @@ fn query_mix() -> Vec<Request> {
 /// the read deadline even mid-fault.
 fn assert_oracle_correct(
     router: &Router<DurableEngine>,
-    oracle: &QueryService<SearchEngine>,
+    oracle: &QueryService<DurableEngine>,
     deadline: Duration,
     context: &str,
 ) {
@@ -181,7 +181,7 @@ fn router_fails_over_on_replica_death_and_replica_catches_up_after_restart() {
             .unwrap();
 
     let oracle_engine =
-        SearchEngine::create(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
+        DurableEngine::without_log(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
     let oracle = QueryService::with_config(oracle_engine, serve_cfg()).unwrap();
 
     let ingest = |router: &Router<DurableEngine>, texts: &[&str]| {

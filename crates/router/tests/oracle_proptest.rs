@@ -18,7 +18,7 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_router::{LocalShard, Partitioner, ReadPolicy, ReplicaSet, Router, ShardBackend};
 use invidx_serve::{Payload, QueryService, Request, ServeConfig};
 use proptest::prelude::*;
@@ -103,15 +103,15 @@ fn to_request(op: &Op) -> Request {
     }
 }
 
-fn fresh_service() -> Arc<QueryService<SearchEngine>> {
-    let engine = SearchEngine::create(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
+fn fresh_service() -> Arc<QueryService<DurableEngine>> {
+    let engine = DurableEngine::without_log(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
     // Caches off: the oracle compares engines, not cache layers (the
     // cache's own invariants have their own property test in serve).
     let config = ServeConfig::builder().result_cache_capacity(0).build().unwrap();
     Arc::new(QueryService::with_config(engine, config).unwrap())
 }
 
-fn build_router(partitioner: Partitioner) -> Router<SearchEngine> {
+fn build_router(partitioner: Partitioner) -> Router<DurableEngine> {
     let shards = partitioner.shards();
     let mut writers = Vec::with_capacity(shards);
     let mut readers = Vec::with_capacity(shards);

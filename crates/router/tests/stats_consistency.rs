@@ -21,17 +21,17 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_router::{LocalShard, Partitioner, ReadPolicy, ReplicaSet, Router, ShardBackend};
 use invidx_serve::{Payload, QueryService, Request, ServeConfig, ServeStats};
 use std::sync::Arc;
 
-fn build_router(shards: usize) -> Router<SearchEngine> {
+fn build_router(shards: usize) -> Router<DurableEngine> {
     let mut writers = Vec::with_capacity(shards);
     let mut readers = Vec::with_capacity(shards);
     for shard in 0..shards {
         let engine =
-            SearchEngine::create(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
+            DurableEngine::without_log(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
         // A small cache so hits, misses, and stale drops all show up in
         // the summed fields.
         let config = ServeConfig::builder().result_cache_capacity(8).build().unwrap();
@@ -50,7 +50,7 @@ fn build_router(shards: usize) -> Router<SearchEngine> {
     .unwrap()
 }
 
-fn summed(router: &Router<SearchEngine>) -> ServeStats {
+fn summed(router: &Router<DurableEngine>) -> ServeStats {
     let mut sum = ServeStats::default();
     for service in router.writers() {
         let s = service.stats();

@@ -1,5 +1,22 @@
-//! Crash-safe segment-tiered store: [`DurableIndex`] as L0 plus a
-//! manifest file and roll-forward recovery.
+//! The segment-tiered store: [`DurableIndex`] as L0, sealed segments, a
+//! manifest, and a cooperative compactor.
+//!
+//! Fresh batches land in L0's buckets and in-place long lists exactly as
+//! in the in-place engine. When L0's stored footprint crosses the
+//! configured byte budget at a batch boundary its contents are *sealed* —
+//! written once, sorted by term, into an immutable segment — the manifest
+//! commits the new segment, and L0 restarts empty. Reads merge the sealed
+//! segments with L0 behind the same `postings()` interface, in doc-id
+//! order, filtered through the shared deletion list. The tiered compactor
+//! bounds read amplification by folding `fanout` same-level segments into
+//! one at the next level.
+//!
+//! A store opened in a directory ([`DurableSegmentedIndex::create`] /
+//! [`DurableSegmentedIndex::open`]) has a logged L0 and a manifest *file*
+//! and follows the commit protocol below. One built over a bare disk
+//! array ([`DurableSegmentedIndex::without_log`]) keeps its manifest in
+//! memory only: seals and merges run the same steps minus the manifest
+//! store and the checkpoints (which a log-less L0 answers with a no-op).
 //!
 //! ## Commit protocol
 //!
@@ -44,6 +61,7 @@ use crate::format::{self, SegmentMeta};
 use crate::manifest::{Manifest, ManifestFile};
 use crate::store::{build_seal_writer, merge_writer, SegmentStats};
 use invidx_core::{BatchReport, DocId, DualIndex, EngineKind, IndexConfig, PostingList, WordId};
+use invidx_disk::DiskArray;
 use invidx_durable::{
     DurableError, DurableIndex, DurableOptions, FaultInjector, RecoveryHooks, RecoveryInfo,
     StoreGeometry, WalRecord,
@@ -84,12 +102,14 @@ impl ProtocolSite {
     ];
 }
 
-/// A crash-safe [`crate::SegmentedIndex`]: durable L0, manifest file,
-/// and checkpoint-embedded segment state.
+/// The segment-tiered store: L0 [`DurableIndex`], sealed segments,
+/// manifest (with its file and checkpoint-embedded copy when L0 is
+/// logged), cooperative compactor.
 pub struct DurableSegmentedIndex {
     l0: DurableIndex,
     manifest: Manifest,
-    file: ManifestFile,
+    /// Where the manifest persists; `None` for a store without a log.
+    file: Option<ManifestFile>,
     policy: CompactionPolicy,
     l0_budget: u64,
     user_meta: Vec<u8>,
@@ -120,26 +140,52 @@ impl DurableSegmentedIndex {
         opts: DurableOptions,
         injector: FaultInjector,
     ) -> Result<Self> {
-        let (l0_budget, fanout) = engine_params(&config)?;
+        let params = engine_params(&config)?;
         let l0 = DurableIndex::create_with(dir, config, geometry, opts, injector)?;
-        let manifest = Manifest::new();
-        let file = ManifestFile::in_dir(dir);
-        file.store(&manifest, l0.injector())?;
-        let mut me = Self {
+        let file = Some(ManifestFile::in_dir(dir));
+        let mut me = Self::assemble(l0, Manifest::new(), file, params, Vec::new());
+        me.store_manifest()?;
+        me.push_composite_meta();
+        Ok(me)
+    }
+
+    /// A fresh store on `array` with no write-ahead log and no manifest
+    /// file (see [`DurableIndex::without_log`]). `config.engine` must be
+    /// [`EngineKind::Segmented`].
+    pub fn without_log(array: DiskArray, config: IndexConfig) -> Result<Self> {
+        let params = engine_params(&config)?;
+        let l0 = DurableIndex::without_log(array, config)?;
+        Ok(Self::assemble(l0, Manifest::new(), None, params, Vec::new()))
+    }
+
+    fn assemble(
+        l0: DurableIndex,
+        manifest: Manifest,
+        file: Option<ManifestFile>,
+        (l0_budget, fanout): (u64, u32),
+        user_meta: Vec<u8>,
+    ) -> Self {
+        Self {
             l0,
             manifest,
             file,
             policy: CompactionPolicy::with_fanout(fanout),
             l0_budget,
-            user_meta: Vec::new(),
+            user_meta,
             seals: 0,
             merges: 0,
             bytes_written: 0,
             crash_site: None,
             poisoned: false,
-        };
-        me.push_composite_meta();
-        Ok(me)
+        }
+    }
+
+    /// Persist the manifest, when it has a file to persist to.
+    fn store_manifest(&self) -> Result<()> {
+        if let Some(file) = &self.file {
+            file.store(&self.manifest, self.l0.injector())?;
+        }
+        Ok(())
     }
 
     /// Open (recover) the store in `dir`.
@@ -156,7 +202,7 @@ impl DurableSegmentedIndex {
         injector: FaultInjector,
         hooks: &mut dyn RecoveryHooks,
     ) -> Result<Self> {
-        let (l0_budget, fanout) = engine_params(&config)?;
+        let params = engine_params(&config)?;
         let file = ManifestFile::in_dir(dir);
         let disk_manifest = file.load()?;
         let mut seg_hooks = SegmentHooks { user: hooks, ckpt_manifest: None, user_meta: Vec::new() };
@@ -180,19 +226,7 @@ impl DurableSegmentedIndex {
                          ({disk_ids:?} vs {ckpt_ids:?})"
                     )));
                 }
-                Self {
-                    l0,
-                    manifest: disk_manifest,
-                    file,
-                    policy: CompactionPolicy::with_fanout(fanout),
-                    l0_budget,
-                    user_meta,
-                    seals: 0,
-                    merges: 0,
-                    bytes_written: 0,
-                    crash_site: None,
-                    poisoned: false,
-                }
+                Self::assemble(l0, disk_manifest, Some(file), params, user_meta)
             }
             g if g == ckpt_manifest.generation + 1 => {
                 // One manifest op committed but never checkpointed: roll
@@ -237,19 +271,7 @@ impl DurableSegmentedIndex {
                     disk_manifest
                 };
                 invidx_obs::counter!(invidx_obs::names::SEGMENT_ROLLFORWARDS).inc();
-                let mut me = Self {
-                    l0,
-                    manifest: repaired,
-                    file,
-                    policy: CompactionPolicy::with_fanout(fanout),
-                    l0_budget,
-                    user_meta,
-                    seals: 0,
-                    merges: 0,
-                    bytes_written: 0,
-                    crash_site: None,
-                    poisoned: false,
-                };
+                let mut me = Self::assemble(l0, repaired, Some(file), params, user_meta);
                 me.push_composite_meta();
                 me.l0.checkpoint()?;
                 me
@@ -272,9 +294,14 @@ impl DurableSegmentedIndex {
 
     /// Stage the caller's blob for every subsequent checkpoint. The
     /// segment layer wraps it with the manifest state transparently.
-    pub fn set_checkpoint_meta(&mut self, meta: Vec<u8>) {
-        self.user_meta = meta;
-        self.push_composite_meta();
+    /// Like [`DurableIndex::set_checkpoint_meta`], only calls `meta` when
+    /// there is a checkpoint file to carry it.
+    pub fn set_checkpoint_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) {
+        let (manifest, user_meta) = (&self.manifest, &mut self.user_meta);
+        self.l0.set_checkpoint_meta(|| {
+            *user_meta = meta();
+            composite_meta(manifest, user_meta)
+        });
     }
 
     /// The caller blob recovered from the checkpoint (open path).
@@ -283,13 +310,7 @@ impl DurableSegmentedIndex {
     }
 
     fn push_composite_meta(&mut self) {
-        let manifest_bytes = self.manifest.encode();
-        let mut out = Vec::with_capacity(16 + manifest_bytes.len() + self.user_meta.len());
-        out.extend_from_slice(META_MAGIC);
-        out.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&manifest_bytes);
-        out.extend_from_slice(&self.user_meta);
-        self.l0.set_checkpoint_meta(out);
+        self.l0.set_checkpoint_meta(|| composite_meta(&self.manifest, &self.user_meta));
     }
 
     // ----- updates -----
@@ -319,18 +340,34 @@ impl DurableSegmentedIndex {
     /// Commit the batch (WAL + apply), then run the seal policy and one
     /// compaction tick.
     pub fn flush(&mut self) -> Result<BatchReport> {
-        self.flush_with_meta(Vec::new())
+        self.flush_with_meta(Vec::new)
     }
 
     /// [`Self::flush`] carrying an opaque caller blob in the WAL record.
-    pub fn flush_with_meta(&mut self, meta: Vec<u8>) -> Result<BatchReport> {
+    pub fn flush_with_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) -> Result<BatchReport> {
         self.check_poison()?;
         let report = self.l0.flush_with_meta(meta)?;
-        if let Err(e) = self.maybe_seal().and_then(|_| self.tick()) {
-            self.poisoned = true;
-            return Err(e);
+        let tiered = self.maybe_seal().and_then(|sealed| {
+            let merges = self.tick()?;
+            Ok(sealed.is_some() || merges > 0)
+        });
+        match tiered {
+            Err(e) => {
+                self.poisoned = true;
+                Err(e)
+            }
+            Ok(tiered) => {
+                // Without a log, seal/merge I/O trails the batch marker
+                // L0's shadow-paged flush just wrote to the Figure-6
+                // trace; give it its own so per-batch accounting (and the
+                // text round-trip) sees it. A logged L0 marks batches at
+                // its own records.
+                if tiered && self.file.is_none() {
+                    self.l0.inner().array().end_batch();
+                }
+                Ok(report)
+            }
         }
-        Ok(report)
     }
 
     /// Seal L0 into a segment if it crossed the byte budget.
@@ -342,7 +379,7 @@ impl DurableSegmentedIndex {
     }
 
     /// Unconditionally seal L0 (no-op when empty), committing the full
-    /// durable protocol: extents → flush → manifest → reset → checkpoint.
+    /// protocol: extents → flush → manifest → reset → checkpoint.
     pub fn seal_now(&mut self) -> Result<Option<u64>> {
         self.check_poison()?;
         let Some(writer) = build_seal_writer(self.l0.inner(), self.manifest.peek_next_id())? else {
@@ -355,7 +392,7 @@ impl DurableSegmentedIndex {
         self.l0.inner_mut().flush_devices()?;
         let batch = self.l0.batches();
         self.manifest.apply_seal(meta, batch);
-        self.file.store(&self.manifest, self.l0.injector())?;
+        self.store_manifest()?;
         self.crash_check(ProtocolSite::AfterManifestCommit)?;
         self.l0.inner_mut().seal_reset()?;
         self.crash_check(ProtocolSite::AfterL0Reset)?;
@@ -365,8 +402,9 @@ impl DurableSegmentedIndex {
         Ok(Some(id))
     }
 
-    /// One cooperative compaction tick (same policy as the plain store),
-    /// each merge committed through the durable protocol.
+    /// One cooperative compaction tick: run merges lowest-level-first
+    /// until the per-tick budget is spent or no level is over fanout,
+    /// each merge committed through the protocol.
     pub fn tick(&mut self) -> Result<usize> {
         let mut budget = if self.policy.max_merge_blocks_per_tick == 0 {
             u64::MAX
@@ -405,7 +443,7 @@ impl DurableSegmentedIndex {
             self.crash_check(ProtocolSite::AfterSegmentWrite)?;
             self.l0.inner_mut().flush_devices()?;
             self.manifest.apply_merge(&plan.inputs, meta)?;
-            self.file.store(&self.manifest, self.l0.injector())?;
+            self.store_manifest()?;
             self.crash_check(ProtocolSite::AfterManifestCommit)?;
             for m in &inputs {
                 for e in &m.extents {
@@ -453,8 +491,9 @@ impl DurableSegmentedIndex {
 
     // ----- reads -----
 
-    /// The full posting list: sealed segments unioned with durable L0,
-    /// deletion-filtered.
+    /// The full posting list for a word: sealed segments (oldest first)
+    /// unioned with L0, filtered through the deletion list. Matches
+    /// [`DualIndex::postings`] bit-for-bit on the same history.
     pub fn postings(&self, word: WordId) -> Result<PostingList> {
         let mut list = self.l0.postings(word)?;
         for seg in &self.manifest.segments {
@@ -469,7 +508,9 @@ impl DurableSegmentedIndex {
         Ok(list)
     }
 
-    /// Metadata-only document frequency (segment term indexes + L0).
+    /// Document frequency from metadata only (term indexes are resident):
+    /// segment run lengths plus L0's directory/bucket/mem counts. Like
+    /// [`DualIndex::doc_frequency`], ignores the deletion filter.
     pub fn doc_frequency(&self, word: WordId) -> u64 {
         let sealed: u64 = self
             .manifest
@@ -502,11 +543,6 @@ impl DurableSegmentedIndex {
     /// The underlying in-place index (L0's core).
     pub fn inner(&self) -> &DualIndex {
         self.l0.inner()
-    }
-
-    /// Mutable access to L0's core (sidecar writes).
-    pub fn inner_mut(&mut self) -> &mut DualIndex {
-        self.l0.inner_mut()
     }
 
     /// The live manifest.
@@ -599,6 +635,18 @@ impl RecoveryHooks for SegmentHooks<'_> {
     ) -> invidx_durable::Result<()> {
         self.user.before_apply(record, index)
     }
+}
+
+/// The checkpoint meta blob of a segmented store: the manifest state the
+/// checkpoint was taken under, then the caller's bytes.
+fn composite_meta(manifest: &Manifest, user_meta: &[u8]) -> Vec<u8> {
+    let manifest_bytes = manifest.encode();
+    let mut out = Vec::with_capacity(16 + manifest_bytes.len() + user_meta.len());
+    out.extend_from_slice(META_MAGIC);
+    out.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
+    out.extend_from_slice(&manifest_bytes);
+    out.extend_from_slice(user_meta);
+    out
 }
 
 /// Split a composite meta blob into (manifest, caller slice). Layout:

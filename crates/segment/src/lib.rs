@@ -15,13 +15,13 @@
 //! * [`manifest`] — the generation-numbered source of truth for the
 //!   live-segment set, persisted by atomic rename at the checkpoint's
 //!   fault points;
-//! * [`store`] — [`SegmentedIndex`]: seal-on-budget L0 + merged reads
-//!   behind the same `postings()` interface;
 //! * [`compact`] — the tiered, rate-limited, cooperative merge
 //!   scheduler;
-//! * [`durable`] — [`DurableSegmentedIndex`]: the crash-safe variant
-//!   (WAL-backed L0, manifest/checkpoint lockstep, roll-forward
-//!   recovery).
+//! * [`durable`] — [`DurableSegmentedIndex`], the one segmented store:
+//!   seal-on-budget L0 + merged reads behind the same `postings()`
+//!   interface; with a logged L0 also the manifest file, the
+//!   manifest/checkpoint lockstep and roll-forward recovery;
+//! * [`store`] — its [`SegmentStats`] and the seal/merge writers.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -38,4 +38,4 @@ pub use durable::{DurableSegmentedIndex, ProtocolSite};
 pub use error::{Result, SegmentError};
 pub use format::{SegmentExtent, SegmentMeta, SegmentWriter, TermEntry};
 pub use manifest::{Manifest, ManifestFile, MANIFEST_FILE};
-pub use store::{SegmentStats, SegmentedIndex};
+pub use store::SegmentStats;

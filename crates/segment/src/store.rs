@@ -1,24 +1,9 @@
-//! `SegmentedIndex`: the segment-tiered engine over an in-memory-manifest
-//! store (no WAL — see `crate::durable` for the crash-safe variant).
-//!
-//! The existing dual-structure machinery ([`DualIndex`]) becomes **L0**:
-//! fresh batches land in its buckets and in-place long lists exactly as
-//! before. When L0's stored footprint crosses the configured byte budget
-//! at a batch boundary, its contents are *sealed* — written once, sorted
-//! by term, into an immutable segment — the manifest commits the new
-//! segment, and L0 restarts empty. Reads merge the sealed segments with
-//! L0 behind the same `postings()` interface, in doc-id order, filtered
-//! through the shared deletion list. A cooperative tiered compactor
-//! bounds read amplification by folding `fanout` same-level segments
-//! into one at the next level.
+//! What the segmented store ([`crate::DurableSegmentedIndex`]) reports
+//! and the two writers it seals and merges with.
 
-use crate::compact::{self, CompactionPolicy, MergePlan};
-use crate::error::{Result, SegmentError};
+use crate::error::Result;
 use crate::format::{self, SegmentMeta, SegmentWriter};
-use crate::manifest::Manifest;
-use invidx_core::{
-    BatchReport, BlockCache, DocId, DualIndex, EngineKind, IndexConfig, PostingList, WordId,
-};
+use invidx_core::{BlockCache, DualIndex, PostingList, WordId};
 use invidx_disk::DiskArray;
 use std::collections::BTreeMap;
 
@@ -56,255 +41,6 @@ impl SegmentStats {
             return 0.0;
         }
         self.bytes_written as f64 / live as f64
-    }
-}
-
-/// The segment-tiered engine: L0 `DualIndex` + sealed segments + manifest
-/// + cooperative compactor.
-pub struct SegmentedIndex {
-    l0: DualIndex,
-    manifest: Manifest,
-    policy: CompactionPolicy,
-    l0_budget: u64,
-    seals: u64,
-    merges: u64,
-    bytes_written: u64,
-}
-
-impl SegmentedIndex {
-    /// Create a fresh segmented store. `config.engine` must be
-    /// [`EngineKind::Segmented`].
-    pub fn create(array: DiskArray, config: IndexConfig) -> Result<Self> {
-        let (l0_budget, fanout) = match config.engine {
-            EngineKind::Segmented { l0_budget, fanout } => (l0_budget, fanout),
-            EngineKind::InPlace => {
-                return Err(SegmentError::Usage(
-                    "SegmentedIndex requires EngineKind::Segmented".into(),
-                ))
-            }
-        };
-        let l0 = DualIndex::create(array, config)?;
-        Ok(Self {
-            l0,
-            manifest: Manifest::new(),
-            policy: CompactionPolicy::with_fanout(fanout),
-            l0_budget,
-            seals: 0,
-            merges: 0,
-            bytes_written: 0,
-        })
-    }
-
-    /// Override the compaction rate limit (blocks of merge input per
-    /// tick; 0 removes the limit).
-    pub fn set_merge_rate(&mut self, blocks_per_tick: u64) {
-        self.policy.max_merge_blocks_per_tick = blocks_per_tick;
-    }
-
-    // ----- updates -----
-
-    /// Add a document to the current in-memory batch (L0).
-    pub fn insert_document<I>(&mut self, doc: DocId, words: I) -> Result<()>
-    where
-        I: IntoIterator<Item = WordId>,
-    {
-        Ok(self.l0.insert_document(doc, words)?)
-    }
-
-    /// Bulk-add documents, inverting the batch on `threads` threads.
-    pub fn insert_documents(
-        &mut self,
-        docs: Vec<(DocId, Vec<WordId>)>,
-        threads: usize,
-    ) -> Result<()> {
-        Ok(self.l0.insert_documents(docs, threads)?)
-    }
-
-    /// Logically delete a document (filter semantics, paper §3). The
-    /// filter screens both L0 and sealed-segment reads.
-    pub fn delete_document(&mut self, doc: DocId) {
-        self.l0.delete_document(doc);
-    }
-
-    /// Flush the current batch into L0, then run the seal policy and one
-    /// compaction tick.
-    pub fn flush_batch(&mut self) -> Result<BatchReport> {
-        let report = self.l0.flush_batch()?;
-        let sealed = self.maybe_seal()?;
-        let merges = self.tick()?;
-        if sealed.is_some() || merges > 0 {
-            // Seal/merge I/O trails the batch L0 just closed in the
-            // Figure-6 trace; give it its own end-of-batch marker so
-            // per-batch accounting (and the text round-trip) sees it.
-            self.l0.array().end_batch();
-        }
-        Ok(report)
-    }
-
-    /// Seal L0 into a fresh level-0 segment if its stored footprint
-    /// crossed the budget. Returns the new segment id if a seal happened.
-    pub fn maybe_seal(&mut self) -> Result<Option<u64>> {
-        if self.l0.stored_bytes() < self.l0_budget {
-            return Ok(None);
-        }
-        self.seal_now()
-    }
-
-    /// Unconditionally seal L0's stored postings into a segment (no-op
-    /// when L0 is empty). Requires a batch boundary.
-    pub fn seal_now(&mut self) -> Result<Option<u64>> {
-        let Some(writer) = build_seal_writer(&self.l0, self.manifest.peek_next_id())? else {
-            return Ok(None);
-        };
-        let meta = writer.finish(self.l0.sidecar_array())?;
-        let id = meta.id;
-        self.bytes_written += meta.blocks() * self.l0.array().block_size() as u64;
-        let batch = self.l0.batches();
-        self.manifest.apply_seal(meta, batch);
-        self.l0.seal_reset()?;
-        self.seals += 1;
-        Ok(Some(id))
-    }
-
-    /// One cooperative compaction tick: run merges lowest-level-first
-    /// until the per-tick budget is spent or no level is over fanout.
-    pub fn tick(&mut self) -> Result<usize> {
-        let mut budget = if self.policy.max_merge_blocks_per_tick == 0 {
-            u64::MAX
-        } else {
-            self.policy.max_merge_blocks_per_tick
-        };
-        let mut done = 0;
-        while let Some(plan) = compact::plan(&self.manifest, &self.policy, budget) {
-            budget = budget.saturating_sub(plan.input_blocks);
-            self.execute_merge(&plan)?;
-            done += 1;
-        }
-        Ok(done)
-    }
-
-    fn execute_merge(&mut self, plan: &MergePlan) -> Result<()> {
-        let inputs: Vec<SegmentMeta> = plan
-            .inputs
-            .iter()
-            .map(|id| {
-                self.manifest
-                    .segment(*id)
-                    .cloned()
-                    .ok_or_else(|| SegmentError::Corrupt(format!("merge input {id} not live")))
-            })
-            .collect::<Result<_>>()?;
-        let writer =
-            merge_writer(&inputs, self.manifest.peek_next_id(), plan.output_level, self.l0.array(), self.l0.block_cache())?;
-        let meta = writer.finish(self.l0.sidecar_array())?;
-        self.bytes_written += meta.blocks() * self.l0.array().block_size() as u64;
-        self.manifest.apply_merge(&plan.inputs, meta)?;
-        // Inputs are unreachable from the new manifest: release their
-        // extents (quarantined under defer_frees in durable mode).
-        for m in &inputs {
-            for e in &m.extents {
-                self.l0.sidecar_array().free_on(e.disk, e.start, e.blocks)?;
-            }
-        }
-        self.merges += 1;
-        Ok(())
-    }
-
-    // ----- reads -----
-
-    /// The full posting list for a word: sealed segments (oldest first)
-    /// unioned with L0, filtered through the deletion list. Matches
-    /// [`DualIndex::postings`] bit-for-bit on the same history.
-    pub fn postings(&self, word: WordId) -> Result<PostingList> {
-        let mut list = self.l0.postings(word)?;
-        for seg in &self.manifest.segments {
-            let mut run = format::read_term(seg, self.l0.array(), self.l0.block_cache(), word)?;
-            if run.is_empty() {
-                continue;
-            }
-            run.retain(|d| !self.l0.is_deleted(d));
-            list = list.union(&run);
-        }
-        Ok(list)
-    }
-
-    /// Document frequency from metadata only (term indexes are resident):
-    /// segment run lengths plus L0's directory/bucket/mem counts. Like
-    /// [`DualIndex::doc_frequency`], ignores the deletion filter.
-    pub fn doc_frequency(&self, word: WordId) -> u64 {
-        let sealed: u64 = self
-            .manifest
-            .segments
-            .iter()
-            .filter_map(|s| s.find(word))
-            .map(|t| t.postings as u64)
-            .sum();
-        sealed + self.l0.doc_frequency(word)
-    }
-
-    // ----- introspection -----
-
-    /// The L0 in-place index.
-    pub fn l0(&self) -> &DualIndex {
-        &self.l0
-    }
-
-    /// Mutable access to L0 (sidecar writes by higher layers — the IR
-    /// engine's document store and vocabulary live on the same array).
-    pub fn l0_mut(&mut self) -> &mut DualIndex {
-        &mut self.l0
-    }
-
-    /// The live manifest.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
-    }
-
-    /// The disk array.
-    pub fn array(&self) -> &DiskArray {
-        self.l0.array()
-    }
-
-    /// The shared block cache, if configured.
-    pub fn block_cache(&self) -> Option<&BlockCache> {
-        self.l0.block_cache()
-    }
-
-    /// The store's configuration.
-    pub fn config(&self) -> &IndexConfig {
-        self.l0.config()
-    }
-
-    /// Completed batches (L0's counter; seals do not bump it).
-    pub fn batches(&self) -> u64 {
-        self.l0.batches()
-    }
-
-    /// Snapshot of tier shape and lifetime write counters.
-    pub fn stats(&self) -> SegmentStats {
-        let mut levels: Vec<(u32, usize, u64)> = Vec::new();
-        for (level, segs) in self.manifest.levels() {
-            levels.push((level, segs.len(), segs.iter().map(|s| s.blocks()).sum()));
-        }
-        SegmentStats {
-            segments: self.manifest.segments.len(),
-            levels,
-            segment_blocks: self.manifest.total_blocks(),
-            segment_postings: self.manifest.total_postings(),
-            l0_bytes: self.l0.stored_bytes(),
-            seals: self.seals,
-            merges: self.merges,
-            bytes_written: self.bytes_written,
-            generation: self.manifest.generation,
-        }
-    }
-
-    /// Verify every live segment's footer and CRC against the manifest.
-    pub fn verify_segments(&self) -> Result<()> {
-        for s in &self.manifest.segments {
-            format::verify(s, self.l0.array())?;
-        }
-        Ok(())
     }
 }
 

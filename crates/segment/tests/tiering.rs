@@ -1,10 +1,10 @@
-//! Functional tests for the plain (non-durable) segmented store: seals,
+//! Functional tests for the segmented store, run without a log: seals,
 //! merges, read equivalence with the in-place engine, and format
 //! integrity.
 
 use invidx_core::{DocId, DualIndex, EngineKind, IndexConfig, WordId};
 use invidx_disk::{sparse_array, Payload};
-use invidx_segment::SegmentedIndex;
+use invidx_segment::DurableSegmentedIndex;
 
 fn config(l0_budget: u64, fanout: u32) -> IndexConfig {
     IndexConfig { engine: EngineKind::Segmented { l0_budget, fanout }, ..IndexConfig::small() }
@@ -20,18 +20,18 @@ fn words_of(doc: u32, vocab: u64) -> Vec<WordId> {
     (0..vocab).filter(|w| (doc as u64).is_multiple_of(w + 1)).map(|w| WordId(w + 1)).collect()
 }
 
-fn drive(ix: &mut SegmentedIndex, docs: std::ops::Range<u32>, batch: u32) {
+fn drive(ix: &mut DurableSegmentedIndex, docs: std::ops::Range<u32>, batch: u32) {
     for chunk_start in docs.clone().step_by(batch as usize) {
         for d in chunk_start..(chunk_start + batch).min(docs.end) {
             ix.insert_document(DocId(d), words_of(d, 24)).unwrap();
         }
-        ix.flush_batch().unwrap();
+        ix.flush().unwrap();
     }
 }
 
 #[test]
 fn seals_fire_when_l0_crosses_budget() {
-    let mut ix = SegmentedIndex::create(sparse_array(2, 200_000, 256), config(4096, 4)).unwrap();
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 200_000, 256), config(4096, 4)).unwrap();
     drive(&mut ix, 1..400, 40);
     let stats = ix.stats();
     assert!(stats.seals > 0, "no seal at budget 4096: {stats:?}");
@@ -42,7 +42,7 @@ fn seals_fire_when_l0_crosses_budget() {
 
 #[test]
 fn merges_keep_levels_under_fanout() {
-    let mut ix = SegmentedIndex::create(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
     ix.set_merge_rate(0); // no rate limit: levels must stay < fanout
     drive(&mut ix, 1..800, 25);
     let stats = ix.stats();
@@ -59,7 +59,7 @@ fn merges_keep_levels_under_fanout() {
 
 #[test]
 fn rate_limit_defers_but_eventually_drains() {
-    let mut ix = SegmentedIndex::create(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
     ix.set_merge_rate(16); // absurdly small: every merge deferred
     drive(&mut ix, 1..200, 25);
     let throttled = ix.stats();
@@ -74,7 +74,7 @@ fn rate_limit_defers_but_eventually_drains() {
 
 #[test]
 fn postings_match_in_place_twin_with_deletes() {
-    let mut seg = SegmentedIndex::create(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
+    let mut seg = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
     let mut flat = DualIndex::create(sparse_array(2, 400_000, 256), in_place_config()).unwrap();
     for chunk in 0..12 {
         for d in (chunk * 50 + 1)..(chunk * 50 + 51) {
@@ -87,7 +87,7 @@ fn postings_match_in_place_twin_with_deletes() {
                 flat.delete_document(DocId(d));
             }
         }
-        seg.flush_batch().unwrap();
+        seg.flush().unwrap();
         flat.flush_batch().unwrap();
     }
     assert!(seg.stats().seals > 0, "twin test must exercise sealed reads");
@@ -105,10 +105,10 @@ fn postings_match_in_place_twin_with_deletes() {
 
 #[test]
 fn segment_io_is_traced_with_segment_payload() {
-    let mut ix = SegmentedIndex::create(sparse_array(2, 200_000, 256), config(2048, 4)).unwrap();
-    ix.array().start_trace();
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 200_000, 256), config(2048, 4)).unwrap();
+    ix.inner().array().start_trace();
     drive(&mut ix, 1..300, 30);
-    let trace = ix.array().take_trace();
+    let trace = ix.inner().array().take_trace();
     let seg_writes = trace
         .count(|op| matches!(op.payload, Payload::Segment { .. }) && op.kind == invidx_disk::OpKind::Write);
     assert!(seg_writes > 0, "segment writes must appear in the Figure-6 trace");
@@ -124,20 +124,20 @@ fn sealed_reads_go_through_the_block_cache() {
         engine: EngineKind::Segmented { l0_budget: 2048, fanout: 4 },
         ..IndexConfig::small()
     };
-    let mut ix = SegmentedIndex::create(sparse_array(2, 200_000, 256), cfg).unwrap();
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 200_000, 256), cfg).unwrap();
     drive(&mut ix, 1..300, 30);
     assert!(ix.stats().segments > 0);
     // First read warms the cache, second must hit.
     ix.postings(WordId(1)).unwrap();
-    let before = ix.block_cache().unwrap().stats();
+    let before = ix.inner().block_cache().unwrap().stats();
     ix.postings(WordId(1)).unwrap();
-    let after = ix.block_cache().unwrap().stats();
+    let after = ix.inner().block_cache().unwrap().stats();
     assert!(after.hits > before.hits, "repeat sealed read should hit cache");
 }
 
 #[test]
 fn merge_frees_input_extents() {
-    let mut ix = SegmentedIndex::create(sparse_array(2, 400_000, 256), config(2048, 2)).unwrap();
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), config(2048, 2)).unwrap();
     ix.set_merge_rate(0);
     drive(&mut ix, 1..600, 25);
     let stats = ix.stats();
@@ -146,12 +146,13 @@ fn merge_frees_input_extents() {
     // L0 + metadata. If merge inputs leaked, usage would exceed live
     // segment blocks by far more than the L0/meta footprint.
     let used: u64 = ix
+        .inner()
         .array()
         .per_disk_usage()
         .iter()
         .map(|(free, total)| total - free)
         .sum();
-    let bs = ix.array().block_size() as u64;
+    let bs = ix.inner().array().block_size() as u64;
     let meta_allowance = 2_000u64; // bucket stripes, directory, block 0
     assert!(
         used <= stats.segment_blocks + stats.l0_bytes / bs + meta_allowance,
@@ -167,8 +168,8 @@ fn compressed_segments_match_plain_twin() {
     use invidx_core::PostingsCodec;
     for codec in [PostingsCodec::VarintDelta, PostingsCodec::BitPacked] {
         let cfg = IndexConfig { codec, ..config(2048, 3) };
-        let mut packed = SegmentedIndex::create(sparse_array(2, 400_000, 256), cfg).unwrap();
-        let mut plain = SegmentedIndex::create(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
+        let mut packed = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), cfg).unwrap();
+        let mut plain = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), config(2048, 3)).unwrap();
         packed.set_merge_rate(0);
         plain.set_merge_rate(0);
         for chunk in 0..12 {
@@ -182,8 +183,8 @@ fn compressed_segments_match_plain_twin() {
                     plain.delete_document(DocId(d));
                 }
             }
-            packed.flush_batch().unwrap();
-            plain.flush_batch().unwrap();
+            packed.flush().unwrap();
+            plain.flush().unwrap();
         }
         let (ps, fs) = (packed.stats(), plain.stats());
         assert!(ps.seals > 0 && ps.merges > 0, "codec {codec}: need tiers: {ps:?}");
@@ -210,6 +211,6 @@ fn compressed_segments_match_plain_twin() {
 
 #[test]
 fn in_place_engine_kind_is_rejected() {
-    let err = SegmentedIndex::create(sparse_array(2, 10_000, 256), in_place_config());
+    let err = DurableSegmentedIndex::without_log(sparse_array(2, 10_000, 256), in_place_config());
     assert!(err.is_err());
 }

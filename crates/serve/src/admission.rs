@@ -289,11 +289,11 @@ mod tests {
     use crate::request::Payload;
     use invidx_core::index::IndexConfig;
     use invidx_disk::sparse_array;
-    use invidx_ir::SearchEngine;
+    use invidx_ir::DurableEngine;
 
-    fn frontend(config: ServeConfig) -> Frontend<SearchEngine> {
+    fn frontend(config: ServeConfig) -> Frontend<DurableEngine> {
         let array = sparse_array(2, 50_000, 256);
-        let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
         let service = Arc::new(QueryService::with_config(engine, ServeConfig::default()).unwrap());
         service.ingest_batch(&["the quick brown fox", "lazy dog sleeps"]).unwrap();
         Frontend::start_with(service, config)

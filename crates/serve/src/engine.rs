@@ -4,16 +4,17 @@
 //! from an engine: add documents, flush, checkpoint, ship or apply WAL
 //! records, and materialize the next [`EngineSnapshot`]. It has no read
 //! methods — every served query runs `EngineSnapshot::execute` on the
-//! published snapshot and never touches the live engine. Both of the
-//! repo's engines qualify: [`SearchEngine`] (volatile metadata) and
-//! [`DurableEngine`] (WAL + checkpoints, which additionally supports
-//! [`ServeEngine::checkpoint`] while serving).
+//! published snapshot and never touches the live engine. The repo's one
+//! engine, [`DurableEngine`], implements it; it stays a trait so tests can
+//! substitute fakes. What the log-related methods answer for an engine
+//! built without a log is decided below the engine
+//! ([`invidx_durable::DurableIndex`]) and passed through here.
 
 use invidx_core::cache::CacheStats;
 use invidx_core::index::BatchReport;
 use invidx_core::types::DocId;
-use invidx_durable::WalRecord;
-use invidx_ir::{DurableEngine, EngineSnapshot, SearchEngine};
+use invidx_durable::{DurableIndex, WalRecord};
+use invidx_ir::{DurableEngine, EngineSnapshot};
 
 /// Updates on `&mut self`, snapshots out — the contract that lets
 /// [`crate::QueryService`] serialize writers while serving reads from
@@ -85,33 +86,12 @@ pub trait ServeEngine: Send + Sync + 'static {
     fn vocabulary_size(&self) -> usize;
 }
 
-impl ServeEngine for SearchEngine {
-    fn add_document(&mut self, text: &str) -> std::result::Result<DocId, String> {
-        SearchEngine::add_document(self, text).map_err(|e| e.to_string())
-    }
-
-    fn flush(&mut self) -> std::result::Result<BatchReport, String> {
-        SearchEngine::flush(self).map_err(|e| e.to_string())
-    }
-
-    fn block_cache_stats(&self) -> Option<CacheStats> {
-        SearchEngine::cache_stats(self)
-    }
-
-    fn snapshot(
-        &mut self,
-        prev: Option<&EngineSnapshot>,
-    ) -> std::result::Result<EngineSnapshot, String> {
-        SearchEngine::snapshot(self, prev).map_err(|e| e.to_string())
-    }
-
-    fn total_docs(&self) -> u64 {
-        SearchEngine::total_docs(self)
-    }
-
-    fn vocabulary_size(&self) -> usize {
-        SearchEngine::vocabulary_size(self)
-    }
+/// The engine's index if it keeps a log — the index's own answer
+/// ([`DurableIndex::last_checkpoint_batch`] is `None` without one), so the
+/// log-related methods below report "no durability" for a log-less engine
+/// exactly as the trait's defaults do.
+fn logged(engine: &DurableEngine) -> Option<&DurableIndex> {
+    engine.index().last_checkpoint_batch().map(|_| engine.index())
 }
 
 impl ServeEngine for DurableEngine {
@@ -124,7 +104,8 @@ impl ServeEngine for DurableEngine {
     }
 
     fn checkpoint(&mut self) -> std::result::Result<Option<u64>, String> {
-        DurableEngine::checkpoint(self).map(Some).map_err(|e| e.to_string())
+        let bytes = DurableEngine::checkpoint(self).map_err(|e| e.to_string())?;
+        Ok(logged(self).map(|_| bytes))
     }
 
     fn block_cache_stats(&self) -> Option<CacheStats> {
@@ -132,11 +113,11 @@ impl ServeEngine for DurableEngine {
     }
 
     fn wal_bytes(&self) -> Option<u64> {
-        Some(self.index().wal_size())
+        logged(self).map(DurableIndex::wal_size)
     }
 
     fn batches(&self) -> u64 {
-        self.index().batches()
+        logged(self).map_or(0, DurableIndex::batches)
     }
 
     fn wal_records_from(&self, from_batch: u64) -> std::result::Result<Vec<WalRecord>, String> {

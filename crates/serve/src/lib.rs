@@ -10,7 +10,7 @@
 //!
 //! * [`ServeEngine`] — the engine contract: queries on `&self`, updates on
 //!   `&mut self`, plus snapshot materialization for the read path.
-//!   Implemented by `SearchEngine` and `DurableEngine`.
+//!   Implemented by `DurableEngine`.
 //! * [`QueryService`] — lock-free reads over copy-on-write epoch
 //!   snapshots: the single writer applies add+flush batches atomically,
 //!   materializes the next immutable engine view off to the side, and

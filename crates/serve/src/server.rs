@@ -256,7 +256,7 @@ mod tests {
     use crate::request::{parse_response, Payload};
     use invidx_core::index::IndexConfig;
     use invidx_disk::sparse_array;
-    use invidx_ir::SearchEngine;
+    use invidx_ir::DurableEngine;
     use std::io::BufWriter;
 
     struct Client {
@@ -296,9 +296,9 @@ mod tests {
         }
     }
 
-    fn server() -> Server<SearchEngine> {
+    fn server() -> Server<DurableEngine> {
         let array = sparse_array(2, 50_000, 256);
-        let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
         let service = Arc::new(QueryService::with_config(engine, ServeConfig::default()).unwrap());
         Server::bind("127.0.0.1:0", service, ServeConfig::default()).unwrap()
     }

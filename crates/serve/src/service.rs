@@ -738,11 +738,11 @@ mod tests {
     use invidx_core::index::IndexConfig;
     use invidx_core::types::DocId;
     use invidx_disk::sparse_array;
-    use invidx_ir::SearchEngine;
+    use invidx_ir::DurableEngine;
 
-    fn service(cache: usize) -> QueryService<SearchEngine> {
+    fn service(cache: usize) -> QueryService<DurableEngine> {
         let array = sparse_array(2, 50_000, 256);
-        let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
         let config = ServeConfig::builder().result_cache_capacity(cache).build().unwrap();
         QueryService::with_config(engine, config).unwrap()
     }
@@ -828,7 +828,7 @@ mod tests {
     #[test]
     fn rank_serves_bm25_from_the_snapshot() {
         let array = sparse_array(2, 50_000, 256);
-        let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
         let config =
             ServeConfig::builder().rank_k(8).bm25_k1(1.2).bm25_b(0.75).build().unwrap();
         let s = QueryService::with_config(engine, config).unwrap();

@@ -10,7 +10,7 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_serve::{Payload, QueryService, Request, ServeConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -72,7 +72,7 @@ proptest! {
     #[test]
     fn cached_results_never_survive_postings_changes(ops in arb_ops()) {
         let array = sparse_array(2, 50_000, 256);
-        let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+        let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
         // Capacity 4 with an 8-word vocabulary: constant eviction churn.
         let config = ServeConfig::builder().result_cache_capacity(4).build().unwrap();
         let service = QueryService::with_config(engine, config).unwrap();

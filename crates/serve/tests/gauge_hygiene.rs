@@ -8,15 +8,15 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_obs::names;
 use invidx_serve::{Frontend, QueryService, Request, ServeConfig, ServeError};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-fn frontend(config: ServeConfig) -> Frontend<SearchEngine> {
+fn frontend(config: ServeConfig) -> Frontend<DurableEngine> {
     let array = sparse_array(2, 50_000, 256);
-    let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+    let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
     let service = Arc::new(QueryService::with_config(engine, ServeConfig::default()).unwrap());
     service.ingest_batch(&["the quick brown fox", "lazy dog sleeps"]).unwrap();
     Frontend::start_with(service, config)
@@ -28,7 +28,7 @@ fn depth() -> i64 {
 
 /// Wedge the single reader on the engine write lock, run `f` while it is
 /// stuck (submissions queue up behind it), then release and return.
-fn with_wedged_reader(fe: &Frontend<SearchEngine>, f: impl FnOnce()) {
+fn with_wedged_reader(fe: &Frontend<DurableEngine>, f: impl FnOnce()) {
     let service = Arc::clone(fe.service());
     let gate = Arc::new(Barrier::new(2));
     let gate2 = Arc::clone(&gate);

@@ -11,7 +11,7 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_serve::{
     parse_response, Frontend, Payload, QueryService, Request, ServeConfig, Server,
 };
@@ -27,9 +27,9 @@ fn config() -> ServeConfig {
     ServeConfig::builder().readers(READERS).result_cache_capacity(0).build().unwrap()
 }
 
-fn service() -> Arc<QueryService<SearchEngine>> {
+fn service() -> Arc<QueryService<DurableEngine>> {
     let engine =
-        SearchEngine::create(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
+        DurableEngine::without_log(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
     let service = QueryService::with_config(engine, config()).unwrap();
     service
         .ingest_batch(&["the cat sat on the mat", "the dog chased the cat", "a mouse ran away"])

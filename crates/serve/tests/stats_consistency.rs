@@ -14,7 +14,7 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_serve::{parse_response, Payload, QueryService, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -34,7 +34,7 @@ fn stats_verb_matches_in_process_counters() {
     config.cache_blocks = 64;
     config.cache_shards = 1;
     let array = sparse_array(2, 50_000, 256);
-    let engine = SearchEngine::create(array, config).unwrap();
+    let engine = DurableEngine::without_log(array, config).unwrap();
     let serve = ServeConfig::builder().result_cache_capacity(1).readers(1).build().unwrap();
 
     // Publish #1: materializing "hot" reads its 12 blocks cold —

@@ -12,7 +12,7 @@
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_durable::{DurableOptions, StoreGeometry};
-use invidx_ir::{Bm25Params, DurableEngine, EngineQuery, QueryOutput, SearchEngine};
+use invidx_ir::{Bm25Params, DurableEngine, EngineQuery, QueryOutput};
 use invidx_serve::{
     Frontend, Payload, QueryService, Request, ServeConfig, ServeEngine,
 };
@@ -69,9 +69,9 @@ fn doc_ids(out: QueryOutput) -> Vec<u32> {
 /// Replay the schedule single-threaded: `oracle[epoch][wire-form] = docs`.
 fn build_oracle(schedule: &[Vec<String>], queries: &[Request]) -> Vec<HashMap<String, Vec<u32>>> {
     let array = sparse_array(2, 100_000, 256);
-    let mut engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+    let mut engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
     let mut oracle = Vec::with_capacity(schedule.len() + 1);
-    let row = |engine: &SearchEngine| {
+    let row = |engine: &DurableEngine| {
         queries
             .iter()
             .map(|q| (q.to_wire(), doc_ids(engine.execute(&oracle_query(q)).unwrap())))
@@ -95,7 +95,7 @@ fn eight_readers_one_writer_match_oracle_replay() {
     let oracle = Arc::new(build_oracle(&schedule, &queries));
 
     let array = sparse_array(2, 100_000, 256);
-    let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+    let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
     let config = ServeConfig::builder()
         .result_cache_capacity(64)
         .readers(4)
@@ -235,4 +235,25 @@ fn serving_continues_while_checkpointing() {
         assert_eq!(&got, want, "{req} after recovery");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What the serving layer is told by an engine built without a log:
+/// nothing to checkpoint, no WAL lag to publish, no durable batch count to
+/// anchor epochs on, and no records to ship or accept — while it ingests
+/// and snapshots like any other.
+#[test]
+fn log_less_engine_reports_no_durability() {
+    let array = sparse_array(2, 50_000, 256);
+    let mut engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
+    ServeEngine::add_document(&mut engine, "alpha beta").unwrap();
+    ServeEngine::flush(&mut engine).unwrap();
+    assert_eq!(ServeEngine::checkpoint(&mut engine), Ok(None));
+    assert_eq!(ServeEngine::wal_bytes(&engine), None);
+    assert_eq!(ServeEngine::batches(&engine), 0);
+    let no_log = Err("engine has no write-ahead log".to_string());
+    assert_eq!(ServeEngine::wal_records_from(&engine, 0), no_log);
+    let record = invidx_durable::WalRecord::Compact { batch: 2 };
+    assert_eq!(ServeEngine::apply_replicated(&mut engine, &record), no_log.map(|_| 0));
+    assert_eq!(ServeEngine::total_docs(&engine), 1);
+    assert!(ServeEngine::snapshot(&mut engine, None).is_ok());
 }

@@ -10,7 +10,7 @@
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
-use invidx_ir::SearchEngine;
+use invidx_ir::DurableEngine;
 use invidx_serve::{QueryService, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -90,7 +90,7 @@ fn sampled_query_yields_decomposed_span_tree() {
     let mut config = IndexConfig::small();
     config.cache_blocks = 64;
     let array = sparse_array(2, 50_000, 256);
-    let engine = SearchEngine::create(array, config).unwrap();
+    let engine = DurableEngine::without_log(array, config).unwrap();
     // Result cache off so every query exercises the snapshot read path;
     // sample every request (queries and ingests alike).
     let serve = ServeConfig::builder()

@@ -15,7 +15,7 @@
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_durable::{DurableOptions, StoreGeometry};
-use invidx_ir::{DurableEngine, SearchEngine};
+use invidx_ir::DurableEngine;
 use invidx_obs::names;
 use invidx_serve::{Payload, QueryService, Request, ServeConfig};
 use std::sync::{mpsc, Arc};
@@ -24,7 +24,7 @@ use std::time::Duration;
 #[test]
 fn writer_completes_while_result_cache_is_held() {
     let array = sparse_array(2, 50_000, 256);
-    let engine = SearchEngine::create(array, IndexConfig::small()).unwrap();
+    let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
     let serve = ServeConfig::builder().result_cache_capacity(8).readers(1).build().unwrap();
     let service = Arc::new(QueryService::with_config(engine, serve).unwrap());
     service.ingest_batch(&["cat dog", "dog fox"]).unwrap();

@@ -9,7 +9,7 @@
 use invidx::core::index::IndexConfig;
 use invidx::core::policy::Policy;
 use invidx::disk::sparse_array;
-use invidx::ir::{EngineQuery, SearchEngine};
+use invidx::ir::{DurableEngine, EngineQuery};
 
 const ARTICLES: &[(&str, &str)] = &[
     ("pets-1", "The cat and the dog shared a basket while the mouse watched from the wall."),
@@ -24,7 +24,7 @@ const ARTICLES: &[(&str, &str)] = &[
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let array = sparse_array(2, 50_000, 256);
-    let mut engine = SearchEngine::create(array, IndexConfig::small().with_policy(Policy::query_optimized()))?;
+    let mut engine = DurableEngine::without_log(array, IndexConfig::small().with_policy(Policy::query_optimized()))?;
 
     let mut names = Vec::new();
     for (name, text) in ARTICLES {

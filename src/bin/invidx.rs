@@ -806,7 +806,7 @@ fn cmd_checkpoint(dir: &Path) -> Result<(), String> {
     let bytes = engine.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
     println!(
         "checkpoint at batch {} ({bytes} B); WAL reset to {} B",
-        engine.index().last_checkpoint_batch(),
+        engine.index().last_checkpoint_batch().unwrap_or(0),
         engine.index().wal_size()
     );
     Ok(())
@@ -847,7 +847,7 @@ fn cmd_stats(dir: &Path, metrics: bool) -> Result<(), String> {
     }
     println!("durability          WAL + checkpoints");
     println!("wal size            {} B", engine.index().wal_size());
-    println!("last checkpoint     batch {}", engine.index().last_checkpoint_batch());
+    println!("last checkpoint     batch {}", engine.index().last_checkpoint_batch().unwrap_or(0));
     if let Some(ss) = engine.segment_stats() {
         println!("manifest generation {}", ss.generation);
         println!("sealed segments     {}", ss.segments);
@@ -926,7 +926,7 @@ fn publish_index_gauges(engine: &DurableEngine, conf: &Conf) {
     gauge!("index_long_raw_bytes").set((d.total_postings() * 4) as i64);
     gauge!("index_long_stored_bytes").set(d.total_stored_bytes() as i64);
     gauge!("index_wal_bytes").set(engine.index().wal_size() as i64);
-    gauge!("index_last_checkpoint_batch").set(engine.index().last_checkpoint_batch() as i64);
+    gauge!("index_last_checkpoint_batch").set(engine.index().last_checkpoint_batch().unwrap_or(0) as i64);
     if let Some(ss) = engine.segment_stats() {
         gauge!("index_segments").set(ss.segments as i64);
         gauge!("index_segment_blocks").set(ss.segment_blocks as i64);

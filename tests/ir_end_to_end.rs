@@ -7,7 +7,7 @@ use invidx::core::policy::Policy;
 use invidx::corpus::doc::{render, CorpusGenerator, CorpusParams};
 use invidx::corpus::lexer;
 use invidx::disk::sparse_array;
-use invidx::ir::{EngineQuery, SearchEngine};
+use invidx::ir::{DurableEngine, EngineQuery};
 use std::collections::BTreeSet;
 
 fn corpus_texts() -> Vec<String> {
@@ -27,12 +27,12 @@ fn corpus_texts() -> Vec<String> {
 }
 
 /// Ids of the documents a boolean, phrase, or proximity query matches.
-fn doc_ids(engine: &SearchEngine, query: &EngineQuery) -> Vec<u32> {
+fn doc_ids(engine: &DurableEngine, query: &EngineQuery) -> Vec<u32> {
     let out = engine.execute(query).expect("query");
     out.docs().expect("docs output").docs().iter().map(|d| d.0).collect()
 }
 
-fn build_engine(texts: &[String]) -> SearchEngine {
+fn build_engine(texts: &[String]) -> DurableEngine {
     let array = sparse_array(2, 500_000, 512);
     let config = IndexConfig::builder()
         .num_buckets(64)
@@ -42,7 +42,7 @@ fn build_engine(texts: &[String]) -> SearchEngine {
         .materialize_buckets(false)
         .build()
         .expect("valid config");
-    let mut engine = SearchEngine::create(array, config).expect("engine");
+    let mut engine = DurableEngine::without_log(array, config).expect("engine");
     for (i, t) in texts.iter().enumerate() {
         engine.add_document(t).expect("add");
         if i % 40 == 39 {
