@@ -32,20 +32,19 @@ use invidx_corpus::vocab::word_string;
 use invidx_corpus::zipf::ZipfTable;
 use invidx_disk::sparse_array;
 use invidx_ir::{Bm25Params, DurableEngine};
-use invidx_serve::{
-    parse_response, Payload, QueryService, Request, ServeConfig, Server,
-};
+use invidx_serve::{Client, Payload, QueryService, Request, ServeConfig, Server};
 use invidx_sim::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
+/// Transport bound of every load client: far beyond any deadline the
+/// phases configure, so only a hung server trips it.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 const VOCAB_RANKS: u64 = 2_000;
 const WORDS_PER_DOC: usize = 12;
 const ZIPF_S: f64 = 1.05;
@@ -142,26 +141,19 @@ fn run_client(
     seed: u64,
     mismatches: &AtomicU64,
 ) -> ClientOutcome {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).expect("nodelay");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = BufWriter::new(stream);
+    let mut client = Client::connect(addr, CLIENT_TIMEOUT).expect("connect");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out =
         ClientOutcome { latencies_us: Vec::with_capacity(requests), ok: 0, shed: 0, timeouts: 0 };
-    let mut line = String::new();
     for _ in 0..requests {
         let req = &queries[rng.random_range(0..queries.len())];
         let t = Instant::now();
-        writeln!(writer, "{}", req.to_wire()).expect("send");
-        writer.flush().expect("flush");
-        line.clear();
-        reader.read_line(&mut line).expect("recv");
+        let reply = client.call(req).expect("well-formed reply");
         out.latencies_us.push(t.elapsed().as_micros() as u64);
-        match parse_response(&line).expect("well-formed reply") {
+        match reply {
             Ok(resp) => {
                 let Payload::Docs(got) = &resp.payload else {
-                    panic!("unexpected payload: {line}")
+                    panic!("unexpected payload: {:?}", resp.payload)
                 };
                 let want = &oracle[resp.epoch as usize][&req.to_wire()];
                 if got != want {
@@ -331,19 +323,14 @@ fn open_loop_phase(
         let tx = tx.clone();
         workers.push(std::thread::spawn(move || {
             let req = &queries[pick];
-            let stream = TcpStream::connect(addr).expect("connect");
-            stream.set_nodelay(true).expect("nodelay");
-            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-            let mut writer = BufWriter::new(stream);
-            writeln!(writer, "{}", req.to_wire()).expect("send");
-            writer.flush().expect("flush");
-            let mut line = String::new();
-            reader.read_line(&mut line).expect("recv");
+            let reply = Client::connect(addr, CLIENT_TIMEOUT)
+                .and_then(|mut client| client.call(req))
+                .expect("well-formed reply");
             let latency = due.elapsed().as_micros() as u64;
-            match parse_response(&line).expect("well-formed reply") {
+            match reply {
                 Ok(resp) => {
                     let Payload::Docs(got) = &resp.payload else {
-                        panic!("unexpected payload: {line}")
+                        panic!("unexpected payload: {:?}", resp.payload)
                     };
                     let want = &oracle[resp.epoch as usize][&req.to_wire()];
                     if got != want {
@@ -435,10 +422,7 @@ fn overload_phase(queries: Arc<Vec<Request>>, seed_batch: &[String]) -> PhaseRow
         .map(|c| {
             let queries = Arc::clone(&queries);
             std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                stream.set_nodelay(true).expect("nodelay");
-                let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-                let mut writer = BufWriter::new(stream);
+                let mut client = Client::connect(addr, CLIENT_TIMEOUT).expect("connect");
                 let mut rng = StdRng::seed_from_u64(0xBAD10AD + c as u64);
                 let mut out = ClientOutcome {
                     latencies_us: Vec::with_capacity(per_client),
@@ -446,16 +430,12 @@ fn overload_phase(queries: Arc<Vec<Request>>, seed_batch: &[String]) -> PhaseRow
                     shed: 0,
                     timeouts: 0,
                 };
-                let mut line = String::new();
                 for _ in 0..per_client {
                     let req = &queries[rng.random_range(0..queries.len())];
                     let t = Instant::now();
-                    writeln!(writer, "{}", req.to_wire()).expect("send");
-                    writer.flush().expect("flush");
-                    line.clear();
-                    reader.read_line(&mut line).expect("recv");
+                    let reply = client.call(req).expect("well-formed reply");
                     out.latencies_us.push(t.elapsed().as_micros() as u64);
-                    match parse_response(&line).expect("well-formed reply") {
+                    match reply {
                         Ok(_) => out.ok += 1,
                         Err(e) if e.code() == "overloaded" => out.shed += 1,
                         Err(e) if e.code() == "timeout" => out.timeouts += 1,

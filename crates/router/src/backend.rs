@@ -3,7 +3,9 @@
 //! A [`ShardBackend`] is one place that can answer a serving [`Request`]:
 //! the shard's own service in-process ([`LocalShard`]), an admission
 //! front end with its bounded queue ([`FrontendShard`]), or a server on
-//! the other end of the line protocol ([`RemoteShard`]). A [`ReplicaSet`]
+//! the other end of the line protocol ([`RemoteShard`], one
+//! [`invidx_serve::Client`] per request — connect timeout, I/O timeout
+//! and the reply-size bound are the client's). A [`ReplicaSet`]
 //! is the router's per-shard view: the primary and its read replicas,
 //! with reads spread round-robin and a [`ReadPolicy`] deciding when to
 //! retry elsewhere and when to hedge.
@@ -21,10 +23,10 @@
 //!   runs out with no success, the caller gets the last failure (or a
 //!   timeout if nothing ever came back).
 
-use invidx_serve::{parse_response, Frontend, QueryService, Request, Response, ServeEngine,
-    ServeError};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use invidx_serve::{
+    Client, Frontend, QueryService, Request, Response, ServeEngine, ServeError,
+};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -90,7 +92,9 @@ impl<E: ServeEngine> ShardBackend for FrontendShard<E> {
 /// A shard served over TCP by a [`invidx_serve::Server`]. One connection
 /// per request: simple, self-healing (a dead server is a fresh
 /// connection-refused, not a poisoned stream), and honest about failure
-/// detection — exactly what the failover tests kill and restart.
+/// detection — exactly what the failover tests kill and restart. A
+/// transport failure or an unparseable reply is an `engine` error
+/// carrying the backend's label.
 pub struct RemoteShard {
     addr: SocketAddr,
     timeout: Duration,
@@ -107,20 +111,9 @@ impl RemoteShard {
 
 impl ShardBackend for RemoteShard {
     fn execute(&self, request: &Request) -> Result<Response, ServeError> {
-        let io_err = |e: std::io::Error| ServeError::Engine(format!("{}: {e}", self.label));
-        let stream = TcpStream::connect_timeout(&self.addr, self.timeout).map_err(io_err)?;
-        stream.set_nodelay(true).map_err(io_err)?;
-        stream.set_read_timeout(Some(self.timeout)).map_err(io_err)?;
-        stream.set_write_timeout(Some(self.timeout)).map_err(io_err)?;
-        let mut writer = stream.try_clone().map_err(io_err)?;
-        writeln!(writer, "{}", request.to_wire()).map_err(io_err)?;
-        writer.flush().map_err(io_err)?;
-        let mut line = String::new();
-        let n = BufReader::new(stream).read_line(&mut line).map_err(io_err)?;
-        if n == 0 {
-            return Err(ServeError::Engine(format!("{}: connection closed", self.label)));
-        }
-        parse_response(&line)?
+        Client::connect(self.addr, self.timeout)
+            .and_then(|mut client| client.call(request))
+            .map_err(|e| ServeError::Engine(format!("{}: {e}", self.label)))?
     }
 
     fn label(&self) -> &str {

@@ -16,8 +16,9 @@
 //!   merge them exactly.
 //! * [`ShardBackend`] / [`ReplicaSet`] — where a shard's reads go: an
 //!   in-process service, an admission front end, or a remote server over
-//!   the line protocol; a replica set spreads reads round-robin and fails
-//!   over / hedges under a per-shard [`ReadPolicy`].
+//!   the line protocol (through `invidx_serve::Client`, as is every other
+//!   socket this crate opens); a replica set spreads reads round-robin
+//!   and fails over / hedges under a per-shard [`ReadPolicy`].
 //! * [`Router`] — the scatter-gather core: fans `QUERY`/`PHRASE`/`NEAR`
 //!   over every shard and merges disjoint doc lists; runs `LIKE` as a
 //!   two-phase exchange (DF fan-out, then weight-shipped `WLIKE`) that
@@ -28,8 +29,11 @@
 //! * [`ReplicaTailer`] — the replication half: a replica polls its
 //!   primary's `WALTAIL` endpoint, replays shipped records through its own
 //!   update path, and reports lag as the epoch delta.
-//! * [`RouterServer`] — the same line protocol one level up, with
-//!   `OK <e0,e1,...> <payload>` responses.
+//! * `impl Endpoint for Router` — what makes the router servable by
+//!   `invidx_serve::Server`, the same listener loop a shard runs: the
+//!   line protocol one level up, with `OK <e0,e1,...> <payload>`
+//!   responses, `FLUSHED` counting documents, and no `CHECKPOINT` /
+//!   `WALTAIL` (those stay with each shard).
 //!
 //! The correctness claim mirrors the single-shard serving layer's, lifted
 //! to vectors: a routed response with epoch vector `(e_0..e_{N-1})` equals
@@ -41,7 +45,6 @@ pub mod backend;
 pub mod partition;
 pub mod replica;
 pub mod router;
-pub mod server;
 
 pub use backend::{
     CallOutcome, FrontendShard, LocalShard, ReadPolicy, RemoteShard, ReplicaSet, ShardBackend,
@@ -49,4 +52,3 @@ pub use backend::{
 pub use partition::{PartitionMap, Partitioner};
 pub use replica::{ReplicaTailer, TailerOptions};
 pub use router::{parse_routed_response, RoutedResponse, Router, RouterCounters};
-pub use server::RouterServer;

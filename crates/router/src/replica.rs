@@ -3,8 +3,9 @@
 //! A read replica is just another engine (usually a `DurableEngine` over
 //! its own directory) whose *only* writer is a [`ReplicaTailer`] thread.
 //! The tailer polls the primary's `WALTAIL <from_batch>` endpoint over
-//! the ordinary line protocol, decodes the shipped records, and applies
-//! each through the replica's own update path
+//! the ordinary line protocol ([`Client::framed`] — one connection per
+//! poll, every line bounded), decodes each shipped record as its line
+//! arrives, and applies it through the replica's own update path
 //! ([`QueryService::apply_replicated`]).
 //!
 //! Replaying through the update path — not copying bytes — is the same
@@ -27,9 +28,9 @@
 
 use invidx_durable::WalRecord;
 use invidx_obs::names;
-use invidx_serve::{from_hex, QueryService, ServeEngine};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use invidx_serve::{from_hex, Client, QueryService, ServeEngine};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -134,44 +135,26 @@ struct Polled {
     primary_epoch: u64,
 }
 
-/// One poll: ask for everything after our committed batch count, apply it.
+/// One poll: ask for everything after our committed batch count, apply
+/// each record as its line arrives.
 fn poll_once<E: ServeEngine>(
     service: &QueryService<E>,
     primary: SocketAddr,
     timeout: Duration,
 ) -> Result<Polled, String> {
-    let io_err = |e: std::io::Error| format!("waltail transport: {e}");
     let from = service.with_read(|_, engine| engine.batches());
-    let stream = TcpStream::connect_timeout(&primary, timeout).map_err(io_err)?;
-    stream.set_nodelay(true).map_err(io_err)?;
-    stream.set_read_timeout(Some(timeout)).map_err(io_err)?;
-    stream.set_write_timeout(Some(timeout)).map_err(io_err)?;
-    let mut writer = stream.try_clone().map_err(io_err)?;
-    writeln!(writer, "WALTAIL {from}").map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
-    let mut reader = BufReader::new(stream);
-    let mut header = String::new();
-    reader.read_line(&mut header).map_err(io_err)?;
-    let header = header.trim_end();
-    // `OK <epoch> WALTAIL <n>` then n hex payload lines.
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    let (primary_epoch, count): (u64, u64) = match fields.as_slice() {
-        ["OK", epoch, "WALTAIL", n] => (
-            epoch.parse().map_err(|e| format!("waltail epoch: {e}"))?,
-            n.parse().map_err(|e| format!("waltail count: {e}"))?,
-        ),
-        _ => return Err(format!("waltail header {header:?}")),
-    };
-    let mut appliedcount = 0u64;
-    for _ in 0..count {
-        let mut line = String::new();
-        if reader.read_line(&mut line).map_err(io_err)? == 0 {
-            return Err("waltail body truncated".into());
-        }
-        let bytes = from_hex(&line).map_err(|e| e.to_string())?;
-        let record = WalRecord::decode_payload(&bytes).map_err(|e| e.to_string())?;
-        service.apply_replicated(&record).map_err(|e| e.to_string())?;
-        appliedcount += 1;
-    }
-    Ok(Polled { applied: appliedcount, primary_epoch })
+    let mut applied = 0u64;
+    let primary_epoch = Client::connect(primary, timeout)
+        .and_then(|mut client| {
+            client.framed(&format!("WALTAIL {from}"), "WALTAIL", |line| {
+                let bytes = from_hex(line).map_err(io::Error::other)?;
+                let record = WalRecord::decode_payload(&bytes).map_err(io::Error::other)?;
+                service.apply_replicated(&record).map_err(io::Error::other)?;
+                applied += 1;
+                Ok(())
+            })
+        })
+        .map_err(|e| format!("waltail transport: {e}"))?
+        .map_err(|e| format!("waltail refused: {e}"))?;
+    Ok(Polled { applied, primary_epoch })
 }

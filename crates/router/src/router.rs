@@ -7,7 +7,11 @@
 //! shard — in place of the single-shard epoch, and the correctness claim
 //! is the single-shard one lifted pointwise: the response equals what an
 //! unsharded engine would answer over exactly the documents visible at
-//! those per-shard epochs.
+//! those per-shard epochs. On the wire the vector is the reply's stamp
+//! (`OK 4,3,4 ...`, [`RoutedResponse::to_wire`]) over the shards' own
+//! payload codec, and `impl Endpoint for Router` at the bottom of the
+//! response types is all it takes for `invidx_serve::Server` to serve a
+//! router: there is no second listener loop.
 //!
 //! Two merges deserve their footnotes:
 //!
@@ -31,7 +35,7 @@ use crate::backend::{ReadPolicy, ReplicaSet};
 use crate::partition::{PartitionMap, Partitioner};
 use invidx_obs::names;
 use invidx_serve::{
-    Payload, QueryService, Request, Response, ServeEngine, ServeError, ServeStats,
+    Endpoint, Payload, QueryService, Request, Response, ServeEngine, ServeError, ServeStats,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,10 +141,7 @@ impl RoutedResponse {
     /// Render as a response line: `OK <e0,e1,...> <payload>` — the
     /// single-shard wire form with the epoch widened to a vector.
     pub fn to_wire(&self) -> String {
-        let line = Response { epoch: 0, payload: self.payload.clone() }.to_wire();
-        let body = line.strip_prefix("OK 0 ").expect("response rendering starts `OK 0 `");
-        let epochs: Vec<String> = self.epochs.iter().map(u64::to_string).collect();
-        format!("OK {} {body}", epochs.join(","))
+        invidx_serve::reply_to_wire(&self.epochs, &self.payload)
     }
 }
 
@@ -149,22 +150,35 @@ impl RoutedResponse {
 pub fn parse_routed_response(
     line: &str,
 ) -> Result<Result<RoutedResponse, ServeError>, ServeError> {
-    let bad = |m: String| ServeError::BadRequest(m);
-    let line = line.trim_end();
-    if line.starts_with("ERR ") {
-        return Ok(Err(invidx_serve::parse_response(line)?.expect_err("ERR line parses to Err")));
+    Ok(invidx_serve::parse_reply(line)?
+        .map(|(epochs, payload)| RoutedResponse { epochs, payload }))
+}
+
+/// The routed line protocol is the single-shard one, one level up: the
+/// same listener loop ([`invidx_serve::Server`]) serves a router once it
+/// knows these five things. `CHECKPOINT` and `WALTAIL` stay with the
+/// shards — durability plumbing belongs to each store.
+impl<E: ServeEngine> Endpoint for Router<E> {
+    const NAME: &'static str = "router";
+    type Stamp = Vec<u64>;
+
+    fn stamp(&self) -> Vec<u64> {
+        self.epochs()
     }
-    let rest = line
-        .strip_prefix("OK ")
-        .ok_or_else(|| bad(format!("routed response {line:?} is neither OK nor ERR")))?;
-    let (vector, body) =
-        rest.split_once(' ').ok_or_else(|| bad("routed OK line missing payload".into()))?;
-    let epochs: Vec<u64> = vector
-        .split(',')
-        .map(|e| e.parse().map_err(|err| bad(format!("epoch vector {vector:?}: {err}"))))
-        .collect::<Result<_, _>>()?;
-    let single = invidx_serve::parse_response(&format!("OK 0 {body}"))?;
-    Ok(single.map(|r| RoutedResponse { epochs, payload: r.payload }))
+
+    fn read(&self, request: Request) -> Result<(Vec<u64>, Payload), ServeError> {
+        self.execute(&request).map(|r| (r.epochs, r.payload))
+    }
+
+    /// `FLUSHED` counts the documents routed, where a shard's own
+    /// `FLUSHED` counts the postings they produced.
+    fn flush(&self, staged: &[String]) -> Result<(Vec<u64>, u64), ServeError> {
+        Ok((self.ingest(staged)?, staged.len() as u64))
+    }
+
+    fn metrics(&self) -> String {
+        self.render_metrics()
+    }
 }
 
 /// The scatter-gather router over N shards.
@@ -180,8 +194,6 @@ pub struct Router<E: ServeEngine> {
     readers: Vec<ReplicaSet>,
     map: Mutex<PartitionMap>,
     policy: ReadPolicy,
-    /// BM25 parameters shipped (bit-exactly) with every distributed RANK.
-    bm25: invidx_ir::Bm25Params,
     /// Last epoch observed per shard (from reads or writes); used for the
     /// epoch vector of answers that never touched a shard, and exported
     /// as the `router_shard_epoch` gauges.
@@ -226,20 +238,9 @@ impl<E: ServeEngine> Router<E> {
             readers,
             map: Mutex::new(map),
             policy,
-            bm25: invidx_ir::Bm25Params::default(),
             shard_epochs,
             counters: RouterCounters::new(shards),
         })
-    }
-
-    /// Override the BM25 parameters routed `RANK` requests are scored
-    /// with (the default matches the engines' own
-    /// [`invidx_ir::Bm25Params::default`]). Deployments must use the same
-    /// values on the shards' serving configs for cache keys and oracle
-    /// replays to line up.
-    pub fn with_bm25(mut self, params: invidx_ir::Bm25Params) -> Self {
-        self.bm25 = params;
-        self
     }
 
     /// Number of shards.
@@ -424,9 +425,10 @@ impl<E: ServeEngine> Router<E> {
     /// The two-phase distributed BM25 RANK: the same DF exchange as LIKE
     /// (idf is the identical expression), plus the summed token count —
     /// which makes the corpus-global average document length — and the
-    /// router's `(k1, b)` shipped bit-exactly in the `WRANK` fan-out.
+    /// `(k1, b)` a shard's own `RANK` uses, shipped bit-exactly in the
+    /// `WRANK` fan-out.
     fn rank(&self, k: usize, text: &str) -> Result<RoutedResponse, ServeError> {
-        let params = self.bm25;
+        let params = invidx_ir::Bm25Params::default();
         self.two_phase(k, text, "RANK", move |k, terms, (total_docs, total_tokens)| {
             // The identical expression the unsharded ranker evaluates, so
             // shipped bits equal locally computed bits.
@@ -598,18 +600,10 @@ fn sum_stats(resps: &[Response]) -> Result<ServeStats, ServeError> {
                 resp.payload
             )));
         };
-        sum.docs += s.docs;
-        sum.queries += s.queries;
-        sum.cache_hits += s.cache_hits;
-        sum.cache_misses += s.cache_misses;
-        sum.cache_evictions += s.cache_evictions;
-        sum.cache_stale_drops += s.cache_stale_drops;
-        sum.shed += s.shed;
-        sum.timeouts += s.timeouts;
-        sum.batches += s.batches;
-        sum.block_cache_hits += s.block_cache_hits;
-        sum.block_cache_misses += s.block_cache_misses;
-        sum.block_cache_evictions += s.block_cache_evictions;
+        let mut shard = *s;
+        for ((_, total), (_, part)) in sum.fields_mut().into_iter().zip(shard.fields_mut()) {
+            *total += *part;
+        }
     }
     Ok(sum)
 }

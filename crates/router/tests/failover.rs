@@ -31,7 +31,7 @@ use invidx_router::{
     ShardBackend, TailerOptions,
 };
 use invidx_serve::{
-    Payload, QueryService, Request, ServeConfig, ServeEngine, Server,
+    Frontend, Payload, QueryService, Request, ServeConfig, ServeEngine, Server,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -138,7 +138,7 @@ fn router_fails_over_on_replica_death_and_replica_catches_up_after_restart() {
     let mut replica_dirs = Vec::new();
     let mut replicas: Vec<Option<Arc<QueryService<DurableEngine>>>> = Vec::new();
     let mut tailers: Vec<Option<ReplicaTailer>> = Vec::new();
-    let mut replica_servers: Vec<Option<Server<DurableEngine>>> = Vec::new();
+    let mut replica_servers: Vec<Option<Server<Frontend<DurableEngine>>>> = Vec::new();
     let tailer_opts = |shard: usize| TailerOptions {
         poll: Duration::from_millis(10),
         timeout: Duration::from_secs(1),

@@ -175,11 +175,8 @@ impl<E: ServeEngine> Frontend<E> {
 
     /// Stop accepting work, fail pending jobs with [`ServeError::Shutdown`],
     /// and join the reader threads.
-    pub fn shutdown(mut self) {
-        self.close();
-        for reader in self.readers.drain(..) {
-            let _ = reader.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     fn close(&self) {

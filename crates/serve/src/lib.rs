@@ -21,9 +21,11 @@
 //!   high-water load shedding ([`ServeError::Overloaded`]), per-request
 //!   deadlines reaped in the queue ([`ServeError::Timeout`]), and a
 //!   reader-thread pool.
-//! * [`Server`] — a line-oriented TCP front end (`QUERY`/`PHRASE`/`NEAR`/
-//!   `LIKE`/`DOC`/`ADD`/`FLUSH`/`CHECKPOINT`/`STATS`/`PING`) you can drive
-//!   with `nc`.
+//! * [`wire`] — the line protocol (`QUERY`/`PHRASE`/`NEAR`/`LIKE`/`RANK`/
+//!   `DOC`/`ADD`/`FLUSH`/`CHECKPOINT`/`STATS`/`METRICS`/`PING`) you can
+//!   drive with `nc`: one [`Server`] loop generic over an [`Endpoint`] —
+//!   a [`Frontend`] here, the scatter-gather router in `invidx-router` —
+//!   and one [`Client`], with every read from a socket bounded.
 //!
 //! The correctness invariant threaded through all of it: every response
 //! carries the **epoch** it was computed at, and epoch + state travel in
@@ -37,19 +39,19 @@ pub mod cache;
 pub mod engine;
 pub mod error;
 pub mod request;
-pub mod server;
 pub mod service;
 pub(crate) mod snapshot;
 pub mod telemetry;
+pub mod wire;
 
 pub use admission::{Frontend, Ticket};
 pub use cache::{Lookup, ResultCache};
 pub use engine::ServeEngine;
 pub use error::ServeError;
 pub use request::{
-    error_to_wire, from_hex, normalize_query, parse_response, to_hex, Payload, Request, Response,
-    ServeStats,
+    error_to_wire, from_hex, normalize_query, parse_reply, parse_response, reply_to_wire, to_hex,
+    Payload, Request, Response, ServeStats, Stamp,
 };
-pub use server::Server;
 pub use service::{QueryService, ServeConfig, ServeConfigBuilder, ServeCounters};
 pub use telemetry::Telemetry;
+pub use wire::{Client, Endpoint, Server};

@@ -1,15 +1,19 @@
-//! The serving request model and its line-oriented wire form.
+//! The serving request model and the one-line reply codec.
 //!
 //! One request or response per line, ASCII keywords, no framing beyond
 //! `\n` — the protocol a human can drive with `nc`. Read requests map onto
 //! the engine's query surface (boolean, phrase, proximity, vector); write
-//! requests (`ADD`/`FLUSH`/`CHECKPOINT`) bypass the reader queue and take
-//! the writer path directly.
+//! requests (`ADD`/`FLUSH`/`CHECKPOINT`) never become a [`Request`]: the
+//! listener loop ([`crate::wire`]) hands them to the writer path directly.
 //!
-//! Every successful response carries the **epoch** the result was computed
-//! at (`OK <epoch> ...`), which is what makes results checkable against an
-//! oracle replay: a result is correct iff it equals the single-threaded
-//! answer at that same epoch.
+//! A reply is `OK <stamp> <payload>` or `ERR <code> <message>`. The
+//! [`Payload`] renders (`Display`) and parses ([`Payload::parse`]) its own
+//! body, once; the [`Stamp`] in front of it is what differs between
+//! endpoints — one **epoch** on a shard ([`Response`]), an epoch vector on
+//! the router. The stamp names the state the result was computed at,
+//! which is what makes results checkable against an oracle replay: a
+//! result is correct iff it equals the single-threaded answer at that
+//! same epoch.
 
 use crate::error::ServeError;
 use invidx_core::types::DocId;
@@ -107,59 +111,16 @@ impl Request {
             }
             "WLIKE" => {
                 let mut it = rest.split_whitespace();
-                let k: usize = it
-                    .next()
-                    .ok_or_else(|| bad("WLIKE missing k".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("WLIKE k: {e}")))?;
-                let n: usize = it
-                    .next()
-                    .ok_or_else(|| bad("WLIKE missing term count".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("WLIKE count: {e}")))?;
-                let terms: Vec<(String, u64)> = it
-                    .map(|t| {
-                        let (term, bits) = t
-                            .rsplit_once(':')
-                            .ok_or_else(|| bad(format!("WLIKE term {t:?} missing ':'")))?;
-                        let bits = u64::from_str_radix(bits, 16)
-                            .map_err(|e| bad(format!("WLIKE weight bits: {e}")))?;
-                        Ok((term.to_string(), bits))
-                    })
-                    .collect::<Result<_, ServeError>>()?;
-                if terms.len() != n {
-                    return Err(bad(format!("WLIKE count {n} != {} terms", terms.len())));
-                }
-                Ok(Self::WeightedLike(k, terms))
+                let k = operand("WLIKE", "k", it.next())?;
+                Ok(Self::WeightedLike(k, weighted_terms("WLIKE", it)?))
             }
             "WRANK" => {
                 let mut it = rest.split_whitespace();
-                let k: usize = it
-                    .next()
-                    .ok_or_else(|| bad("WRANK missing k".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("WRANK k: {e}")))?;
+                let k = operand("WRANK", "k", it.next())?;
                 let k1_bits = wrank_bits(it.next(), "k1 bits")?;
                 let b_bits = wrank_bits(it.next(), "b bits")?;
                 let avgdl_bits = wrank_bits(it.next(), "avgdl bits")?;
-                let n: usize = it
-                    .next()
-                    .ok_or_else(|| bad("WRANK missing term count".into()))?
-                    .parse()
-                    .map_err(|e| bad(format!("WRANK count: {e}")))?;
-                let terms: Vec<(String, u64)> = it
-                    .map(|t| {
-                        let (term, bits) = t
-                            .rsplit_once(':')
-                            .ok_or_else(|| bad(format!("WRANK term {t:?} missing ':'")))?;
-                        let bits = u64::from_str_radix(bits, 16)
-                            .map_err(|e| bad(format!("WRANK weight bits: {e}")))?;
-                        Ok((term.to_string(), bits))
-                    })
-                    .collect::<Result<_, ServeError>>()?;
-                if terms.len() != n {
-                    return Err(bad(format!("WRANK count {n} != {} terms", terms.len())));
-                }
+                let terms = weighted_terms("WRANK", it)?;
                 Ok(Self::WeightedRank { k, k1_bits, b_bits, avgdl_bits, terms })
             }
             "DOC" => {
@@ -244,26 +205,50 @@ impl Request {
             Self::Like(k, text) => format!("LIKE {k} {text}"),
             Self::Rank(k, text) => format!("RANK {k} {text}"),
             Self::Df(terms) => format!("DF {}", terms.join(" ")),
-            Self::WeightedLike(k, terms) => {
-                let mut s = format!("WLIKE {k} {}", terms.len());
-                for (term, bits) in terms {
-                    s.push_str(&format!(" {term}:{bits:x}"));
-                }
-                s
-            }
+            Self::WeightedLike(k, terms) => format!("WLIKE {k}{}", Weighted(terms)),
             Self::WeightedRank { k, k1_bits, b_bits, avgdl_bits, terms } => {
-                let mut s =
-                    format!("WRANK {k} {k1_bits:x} {b_bits:x} {avgdl_bits:x} {}", terms.len());
-                for (term, bits) in terms {
-                    s.push_str(&format!(" {term}:{bits:x}"));
-                }
-                s
+                format!("WRANK {k} {k1_bits:x} {b_bits:x} {avgdl_bits:x}{}", Weighted(terms))
             }
             Self::Doc(id) => format!("DOC {id}"),
             Self::Stats => "STATS".to_string(),
             Self::Ping => "PING".to_string(),
         }
     }
+}
+
+/// Renders the ` <n> <term>:<weight-bits-hex>...` tail of a `WLIKE`/`WRANK`
+/// line; [`weighted_terms`] parses it.
+struct Weighted<'a>(&'a [(String, u64)]);
+
+impl std::fmt::Display for Weighted<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, " {}", self.0.len())?;
+        self.0.iter().try_for_each(|(term, bits)| write!(f, " {term}:{bits:x}"))
+    }
+}
+
+fn weighted_terms(
+    verb: &str,
+    it: std::str::SplitWhitespace<'_>,
+) -> Result<Vec<(String, u64)>, ServeError> {
+    let bad = |m: String| ServeError::BadRequest(m);
+    counted(verb, "term", it, |t| {
+        let (term, bits) =
+            t.rsplit_once(':').ok_or_else(|| bad(format!("{verb} term {t:?} missing ':'")))?;
+        let bits = u64::from_str_radix(bits, 16)
+            .map_err(|e| bad(format!("{verb} weight bits: {e}")))?;
+        Ok((term.to_string(), bits))
+    })
+}
+
+/// One whitespace-separated operand of a request or reply line.
+fn operand<T: std::str::FromStr<Err: std::fmt::Display>>(
+    verb: &str,
+    what: &str,
+    token: Option<&str>,
+) -> Result<T, ServeError> {
+    let token = token.ok_or_else(|| ServeError::BadRequest(format!("{verb} missing {what}")))?;
+    token.parse().map_err(|e| ServeError::BadRequest(format!("{verb} {what}: {e}")))
 }
 
 /// One hex-encoded `f64::to_bits` operand of a `WRANK` line.
@@ -343,6 +328,27 @@ pub struct ServeStats {
     pub block_cache_evictions: u64,
 }
 
+impl ServeStats {
+    /// Every counter under its wire name, in wire order: the one list the
+    /// `STATS` rendering, its parser and the router's per-shard sum walk.
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 12] {
+        [
+            ("docs", &mut self.docs),
+            ("queries", &mut self.queries),
+            ("cache_hits", &mut self.cache_hits),
+            ("cache_misses", &mut self.cache_misses),
+            ("cache_evictions", &mut self.cache_evictions),
+            ("cache_stale_drops", &mut self.cache_stale_drops),
+            ("shed", &mut self.shed),
+            ("timeouts", &mut self.timeouts),
+            ("batches", &mut self.batches),
+            ("block_cache_hits", &mut self.block_cache_hits),
+            ("block_cache_misses", &mut self.block_cache_misses),
+            ("block_cache_evictions", &mut self.block_cache_evictions),
+        ]
+    }
+}
+
 /// What a successfully executed request returns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
@@ -370,80 +376,171 @@ pub enum Payload {
     Pong,
 }
 
-/// A successful answer: the payload plus the epoch it was computed at.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Response {
-    /// Batch epoch of the snapshot the result reflects.
-    pub epoch: u64,
-    /// The result itself.
-    pub payload: Payload,
-}
-
-impl Response {
-    /// Render as a response line: `OK <epoch> <payload>`.
-    pub fn to_wire(&self) -> String {
-        let body = match &self.payload {
+/// The reply body — everything after the stamp: `DOCS 2 1 5`, `PONG`, ...
+impl std::fmt::Display for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
             Payload::Docs(ids) => {
-                let mut s = format!("DOCS {}", ids.len());
-                for id in ids {
-                    s.push(' ');
-                    s.push_str(&id.to_string());
-                }
-                s
+                write!(f, "DOCS {}", ids.len())?;
+                ids.iter().try_for_each(|id| write!(f, " {id}"))
             }
             Payload::Hits(hits) => {
                 // `{score}` is Rust's shortest-round-trip f64 rendering:
                 // parsing it back yields the identical bits, so scores can
                 // be oracle-checked for exact equality across the wire.
-                let mut s = format!("HITS {}", hits.len());
-                for (id, score) in hits {
-                    s.push_str(&format!(" {id}:{score}"));
-                }
-                s
+                write!(f, "HITS {}", hits.len())?;
+                hits.iter().try_for_each(|(id, score)| write!(f, " {id}:{score}"))
             }
             Payload::Df { docs, tokens, dfs } => {
-                let mut s = format!("DF {docs} {tokens} {}", dfs.len());
-                for df in dfs {
-                    s.push(' ');
-                    s.push_str(&df.to_string());
-                }
-                s
+                write!(f, "DF {docs} {tokens} {}", dfs.len())?;
+                dfs.iter().try_for_each(|df| write!(f, " {df}"))
             }
-            Payload::Text(Some(text)) => format!("TEXT {}", text.escape_default()),
-            Payload::Text(None) => "NONE".to_string(),
-            Payload::Stats(s) => format!(
-                "STATS docs={} queries={} cache_hits={} cache_misses={} \
-                 cache_evictions={} cache_stale_drops={} shed={} timeouts={} batches={} \
-                 block_cache_hits={} block_cache_misses={} block_cache_evictions={}",
-                s.docs,
-                s.queries,
-                s.cache_hits,
-                s.cache_misses,
-                s.cache_evictions,
-                s.cache_stale_drops,
-                s.shed,
-                s.timeouts,
-                s.batches,
-                s.block_cache_hits,
-                s.block_cache_misses,
-                s.block_cache_evictions
-            ),
-            Payload::Pong => "PONG".to_string(),
-        };
-        format!("OK {} {body}", self.epoch)
+            Payload::Text(Some(text)) => write!(f, "TEXT {}", text.escape_default()),
+            Payload::Text(None) => f.write_str("NONE"),
+            Payload::Stats(stats) => {
+                f.write_str("STATS")?;
+                // A copy (twelve words), because the one field list lends `&mut`.
+                let mut stats = *stats;
+                stats.fields_mut().iter().try_for_each(|(name, v)| write!(f, " {name}={v}"))
+            }
+            Payload::Pong => f.write_str("PONG"),
+        }
     }
 }
 
-/// Render an error as a response line: `ERR <code> <message>`.
-pub fn error_to_wire(err: &ServeError) -> String {
-    format!("ERR {} {err}", err.code())
+/// The counted lists of the protocol, requests and replies alike: a
+/// leading `<n>`, then exactly `n` items (`what`s, for the error text).
+fn counted<T>(
+    kind: &str,
+    what: &str,
+    mut it: std::str::SplitWhitespace<'_>,
+    item: impl Fn(&str) -> Result<T, ServeError>,
+) -> Result<Vec<T>, ServeError> {
+    let bad = |m: String| ServeError::BadRequest(m);
+    let n: usize = it
+        .next()
+        .ok_or_else(|| bad(format!("{kind} missing {what} count")))?
+        .parse()
+        .map_err(|e| bad(format!("{kind} count: {e}")))?;
+    let items: Vec<T> = it.map(item).collect::<Result<_, _>>()?;
+    if items.len() != n {
+        return Err(bad(format!("{kind} count {n} != {} {what}s", items.len())));
+    }
+    Ok(items)
 }
 
-/// Parse a response line back into `Ok(Response)` / `Err(ServeError)` —
-/// the client half of the protocol, used by the load generator and tests.
-/// Error lines keep only their code; the free-text message is not
-/// reconstructed field-by-field.
-pub fn parse_response(line: &str) -> Result<Result<Response, ServeError>, ServeError> {
+impl Payload {
+    /// Parse a reply body back (inverse of the `Display` rendering).
+    pub fn parse(body: &str) -> Result<Self, ServeError> {
+        let bad = |m: String| ServeError::BadRequest(m);
+        let (kind, args) = body.split_once(' ').unwrap_or((body, ""));
+        Ok(match kind {
+            "DOCS" => Payload::Docs(counted(kind, "id", args.split_whitespace(), |t| {
+                t.parse().map_err(|e| bad(format!("doc id: {e}")))
+            })?),
+            "HITS" => Payload::Hits(counted(kind, "hit", args.split_whitespace(), |t| {
+                let (id, score) =
+                    t.split_once(':').ok_or_else(|| bad(format!("hit {t:?} missing ':'")))?;
+                Ok((
+                    id.parse().map_err(|e| bad(format!("hit id: {e}")))?,
+                    score.parse().map_err(|e| bad(format!("hit score: {e}")))?,
+                ))
+            })?),
+            "DF" => {
+                let mut it = args.split_whitespace();
+                let docs = operand(kind, "docs", it.next())?;
+                let tokens = operand(kind, "tokens", it.next())?;
+                let dfs = counted(kind, "value", it, |t| {
+                    t.parse().map_err(|e| bad(format!("df value: {e}")))
+                })?;
+                Payload::Df { docs, tokens, dfs }
+            }
+            "TEXT" => Payload::Text(Some(unescape(args)?)),
+            "NONE" => Payload::Text(None),
+            "STATS" => {
+                let mut stats = ServeStats::default();
+                for kv in args.split_whitespace() {
+                    let (k, v) =
+                        kv.split_once('=').ok_or_else(|| bad(format!("stats field {kv:?}")))?;
+                    let v: u64 = v.parse().map_err(|e| bad(format!("stats {k}: {e}")))?;
+                    let mut fields = stats.fields_mut();
+                    let field = fields
+                        .iter_mut()
+                        .find(|(name, _)| *name == k)
+                        .ok_or_else(|| bad(format!("unknown stats field {k:?}")))?;
+                    *field.1 = v;
+                }
+                Payload::Stats(stats)
+            }
+            "PONG" => Payload::Pong,
+            other => return Err(bad(format!("unknown payload kind {other:?}"))),
+        })
+    }
+}
+
+/// What stands between `OK` and the payload: the state the answer was
+/// computed at. A shard stamps one epoch (`OK 3 ...`), the router one
+/// epoch per shard, comma-joined (`OK 4,3,4 ...`); everything after the
+/// stamp is the same [`Payload`] codec.
+pub trait Stamp: Sized {
+    /// Append the stamp's wire form.
+    fn render(&self, out: &mut String);
+    /// Parse the wire form back.
+    fn parse(text: &str) -> Result<Self, ServeError>;
+}
+
+impl Stamp for u64 {
+    fn render(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = write!(out, "{self}");
+    }
+
+    fn parse(text: &str) -> Result<Self, ServeError> {
+        text.parse().map_err(|e| ServeError::BadRequest(format!("epoch {text:?}: {e}")))
+    }
+}
+
+impl Stamp for Vec<u64> {
+    fn render(&self, out: &mut String) {
+        for (i, epoch) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            epoch.render(out);
+        }
+    }
+
+    fn parse(text: &str) -> Result<Self, ServeError> {
+        text.split(',').map(u64::parse).collect()
+    }
+}
+
+/// Start a success line: `OK <stamp> ` — the caller appends the body (a
+/// rendered [`Payload`], or a write acknowledgement such as `ADDED 2`).
+pub(crate) fn ok_line(stamp: &impl Stamp) -> String {
+    let mut line = String::from("OK ");
+    stamp.render(&mut line);
+    line.push(' ');
+    line
+}
+
+/// Render a successful answer: `OK <stamp> <payload>`.
+pub fn reply_to_wire(stamp: &impl Stamp, payload: &Payload) -> String {
+    use std::fmt::Write as _;
+    let mut line = ok_line(stamp);
+    // Writing into a `String` cannot fail.
+    let _ = write!(line, "{payload}");
+    line
+}
+
+/// Parse a reply line back into `Ok((stamp, payload))` / `Err(ServeError)`
+/// — the client half of the protocol, for either stamp. Error lines keep
+/// only their code; the free-text message is not reconstructed
+/// field-by-field.
+pub fn parse_reply<S: Stamp>(
+    line: &str,
+) -> Result<Result<(S, Payload), ServeError>, ServeError> {
     let bad = |m: String| ServeError::BadRequest(m);
     let line = line.trim_end();
     if let Some(rest) = line.strip_prefix("ERR ") {
@@ -464,106 +561,36 @@ pub fn parse_response(line: &str) -> Result<Result<Response, ServeError>, ServeE
     let rest = line
         .strip_prefix("OK ")
         .ok_or_else(|| bad(format!("response line {line:?} is neither OK nor ERR")))?;
-    let (epoch, body) = rest
-        .split_once(' ')
-        .ok_or_else(|| bad("OK line missing payload".into()))?;
-    let epoch: u64 = epoch.parse().map_err(|e| bad(format!("epoch: {e}")))?;
-    let (kind, args) = body.split_once(' ').unwrap_or((body, ""));
-    let payload = match kind {
-        "DOCS" => {
-            let mut it = args.split_whitespace();
-            let n: usize = it
-                .next()
-                .ok_or_else(|| bad("DOCS missing count".into()))?
-                .parse()
-                .map_err(|e| bad(format!("DOCS count: {e}")))?;
-            let ids: Vec<u32> = it
-                .map(|t| t.parse().map_err(|e| bad(format!("doc id: {e}"))))
-                .collect::<Result<_, _>>()?;
-            if ids.len() != n {
-                return Err(bad(format!("DOCS count {n} != {} ids", ids.len())));
-            }
-            Payload::Docs(ids)
-        }
-        "HITS" => {
-            let mut it = args.split_whitespace();
-            let n: usize = it
-                .next()
-                .ok_or_else(|| bad("HITS missing count".into()))?
-                .parse()
-                .map_err(|e| bad(format!("HITS count: {e}")))?;
-            let hits: Vec<(u32, f64)> = it
-                .map(|t| {
-                    let (id, score) = t
-                        .split_once(':')
-                        .ok_or_else(|| bad(format!("hit {t:?} missing ':'")))?;
-                    Ok((
-                        id.parse().map_err(|e| bad(format!("hit id: {e}")))?,
-                        score.parse().map_err(|e| bad(format!("hit score: {e}")))?,
-                    ))
-                })
-                .collect::<Result<_, ServeError>>()?;
-            if hits.len() != n {
-                return Err(bad(format!("HITS count {n} != {} hits", hits.len())));
-            }
-            Payload::Hits(hits)
-        }
-        "DF" => {
-            let mut it = args.split_whitespace();
-            let docs: u64 = it
-                .next()
-                .ok_or_else(|| bad("DF missing docs".into()))?
-                .parse()
-                .map_err(|e| bad(format!("DF docs: {e}")))?;
-            let tokens: u64 = it
-                .next()
-                .ok_or_else(|| bad("DF missing tokens".into()))?
-                .parse()
-                .map_err(|e| bad(format!("DF tokens: {e}")))?;
-            let n: usize = it
-                .next()
-                .ok_or_else(|| bad("DF missing count".into()))?
-                .parse()
-                .map_err(|e| bad(format!("DF count: {e}")))?;
-            let dfs: Vec<u64> = it
-                .map(|t| t.parse().map_err(|e| bad(format!("df value: {e}"))))
-                .collect::<Result<_, _>>()?;
-            if dfs.len() != n {
-                return Err(bad(format!("DF count {n} != {} values", dfs.len())));
-            }
-            Payload::Df { docs, tokens, dfs }
-        }
-        "TEXT" => Payload::Text(Some(unescape(args)?)),
-        "NONE" => Payload::Text(None),
-        "STATS" => {
-            let mut stats = ServeStats::default();
-            for kv in args.split_whitespace() {
-                let (k, v) = kv
-                    .split_once('=')
-                    .ok_or_else(|| bad(format!("stats field {kv:?}")))?;
-                let v: u64 = v.parse().map_err(|e| bad(format!("stats {k}: {e}")))?;
-                match k {
-                    "docs" => stats.docs = v,
-                    "queries" => stats.queries = v,
-                    "cache_hits" => stats.cache_hits = v,
-                    "cache_misses" => stats.cache_misses = v,
-                    "cache_evictions" => stats.cache_evictions = v,
-                    "cache_stale_drops" => stats.cache_stale_drops = v,
-                    "shed" => stats.shed = v,
-                    "timeouts" => stats.timeouts = v,
-                    "batches" => stats.batches = v,
-                    "block_cache_hits" => stats.block_cache_hits = v,
-                    "block_cache_misses" => stats.block_cache_misses = v,
-                    "block_cache_evictions" => stats.block_cache_evictions = v,
-                    other => return Err(bad(format!("unknown stats field {other:?}"))),
-                }
-            }
-            Payload::Stats(stats)
-        }
-        "PONG" => Payload::Pong,
-        other => return Err(bad(format!("unknown payload kind {other:?}"))),
-    };
-    Ok(Ok(Response { epoch, payload }))
+    let (stamp, body) =
+        rest.split_once(' ').ok_or_else(|| bad("OK line missing payload".into()))?;
+    Ok(Ok((S::parse(stamp)?, Payload::parse(body)?)))
+}
+
+/// A successful answer: the payload plus the epoch it was computed at.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Response {
+    /// Batch epoch of the snapshot the result reflects.
+    pub epoch: u64,
+    /// The result itself.
+    pub payload: Payload,
+}
+
+impl Response {
+    /// Render as a response line: `OK <epoch> <payload>`.
+    pub fn to_wire(&self) -> String {
+        reply_to_wire(&self.epoch, &self.payload)
+    }
+}
+
+/// Render an error as a response line: `ERR <code> <message>`.
+pub fn error_to_wire(err: &ServeError) -> String {
+    format!("ERR {} {err}", err.code())
+}
+
+/// [`parse_reply`] for a shard's single-epoch stamp, used by the load
+/// generator and tests.
+pub fn parse_response(line: &str) -> Result<Result<Response, ServeError>, ServeError> {
+    Ok(parse_reply(line)?.map(|(epoch, payload)| Response { epoch, payload }))
 }
 
 /// Invert [`str::escape_default`] for the subset it emits.

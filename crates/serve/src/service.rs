@@ -29,11 +29,18 @@ use crate::request::{Payload, Request, Response, ServeStats};
 use crate::snapshot::{Published, ReadGate, ServeSnapshot, ShardedCache};
 use invidx_core::epoch::EpochCounter;
 use invidx_core::index::BatchReport;
-use invidx_ir::{EngineQuery, QueryOutput};
+use invidx_ir::{Bm25Params, EngineQuery, QueryOutput};
 use invidx_obs::names;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Largest `k` a `RANK` request may ask for; larger requests are rejected
+/// as bad requests instead of burning a reader thread on an unbounded
+/// heap. `RANK` is scored with [`Bm25Params::default`] — the same values
+/// the router ships in its distributed `WRANK`, which is what keeps
+/// sharded scores bit-identical to a single engine's.
+pub const MAX_RANK_K: usize = 1000;
 
 /// One configuration for the whole serving stack — the result cache
 /// ([`QueryService`]) and admission control ([`crate::Frontend`]) read
@@ -46,14 +53,6 @@ use std::sync::Arc;
 pub struct ServeConfig {
     /// Result-cache capacity in entries; 0 disables result caching.
     pub result_cache_capacity: usize,
-    /// Largest `k` a `RANK` request may ask for; larger requests are
-    /// rejected as bad requests instead of burning a reader thread on an
-    /// unbounded heap.
-    pub rank_k: usize,
-    /// BM25 `k1` (term-frequency saturation) used by `RANK`.
-    pub bm25_k1: f64,
-    /// BM25 `b` (length normalization) used by `RANK`.
-    pub bm25_b: f64,
     /// Reader threads draining the admission queue.
     pub readers: usize,
     /// Queue depth at which new requests are shed.
@@ -81,12 +80,8 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let bm25 = invidx_ir::Bm25Params::default();
         Self {
             result_cache_capacity: 1024,
-            rank_k: 1000,
-            bm25_k1: bm25.k1,
-            bm25_b: bm25.b,
             readers: 4,
             high_water: 128,
             deadline: std::time::Duration::from_millis(500),
@@ -116,24 +111,6 @@ impl ServeConfigBuilder {
     /// Result-cache capacity in entries; 0 disables result caching.
     pub fn result_cache_capacity(mut self, entries: usize) -> Self {
         self.config.result_cache_capacity = entries;
-        self
-    }
-
-    /// Largest `k` a `RANK` request may ask for.
-    pub fn rank_k(mut self, k: usize) -> Self {
-        self.config.rank_k = k;
-        self
-    }
-
-    /// BM25 `k1` (term-frequency saturation) used by `RANK`.
-    pub fn bm25_k1(mut self, k1: f64) -> Self {
-        self.config.bm25_k1 = k1;
-        self
-    }
-
-    /// BM25 `b` (length normalization) used by `RANK`.
-    pub fn bm25_b(mut self, b: f64) -> Self {
-        self.config.bm25_b = b;
         self
     }
 
@@ -206,21 +183,6 @@ impl ServeConfigBuilder {
             return Err(ServeError::Config(
                 "SLO objective must be in [1, 999999] ppm".into(),
             ));
-        }
-        if c.rank_k == 0 {
-            return Err(ServeError::Config("RANK k ceiling must be >= 1".into()));
-        }
-        if !c.bm25_k1.is_finite() || c.bm25_k1 < 0.0 {
-            return Err(ServeError::Config(format!(
-                "BM25 k1 must be finite and non-negative, got {}",
-                c.bm25_k1
-            )));
-        }
-        if !c.bm25_b.is_finite() || !(0.0..=1.0).contains(&c.bm25_b) {
-            return Err(ServeError::Config(format!(
-                "BM25 b must be in [0, 1], got {}",
-                c.bm25_b
-            )));
         }
         Ok(self.config)
     }
@@ -325,10 +287,6 @@ pub struct QueryService<E> {
     /// Simulated device floor for uncached reads (see
     /// [`ServeConfig::read_floor`]); zero in production configs.
     read_floor: std::time::Duration,
-    /// Largest `k` a `RANK` request may ask for.
-    rank_k: usize,
-    /// BM25 parameters `RANK` requests are scored with.
-    bm25: invidx_ir::Bm25Params,
     /// Last WAL-bytes value successfully read from the engine, re-published
     /// when a scrape can't reach a busy writer. `u64::MAX` = never known
     /// (volatile engine): nothing to re-publish.
@@ -365,8 +323,6 @@ impl<E: ServeEngine> QueryService<E> {
             telemetry: crate::telemetry::Telemetry::new(&config),
             gate: ReadGate::default(),
             read_floor: config.read_floor,
-            rank_k: config.rank_k,
-            bm25: invidx_ir::Bm25Params { k1: config.bm25_k1, b: config.bm25_b },
             last_wal: AtomicU64::new(wal.unwrap_or(u64::MAX)),
         })
     }
@@ -497,7 +453,7 @@ impl<E: ServeEngine> QueryService<E> {
             invidx_core::types::IndexError::InvalidConfig(msg) => ServeError::BadRequest(msg),
             other => ServeError::Engine(other.to_string()),
         };
-        let Some(query) = request.engine_query(self.bm25) else {
+        let Some(query) = request.engine_query(Bm25Params::default()) else {
             return match request {
                 Request::Stats => Ok(Payload::Stats(self.stats_from(snap))),
                 Request::Ping => Ok(Payload::Pong),
@@ -505,10 +461,9 @@ impl<E: ServeEngine> QueryService<E> {
             };
         };
         if let EngineQuery::Rank { k, .. } = &query {
-            if *k > self.rank_k {
+            if *k > MAX_RANK_K {
                 return Err(ServeError::BadRequest(format!(
-                    "RANK k {k} exceeds the configured ceiling {}",
-                    self.rank_k
+                    "RANK k {k} exceeds the configured ceiling {MAX_RANK_K}"
                 )));
             }
         }
@@ -811,27 +766,12 @@ mod tests {
         assert!(ServeConfig::builder().deadline(std::time::Duration::ZERO).build().is_err());
     }
 
-    #[test]
-    fn builder_validates_ranking_shape() {
-        let c = ServeConfig::builder().rank_k(64).bm25_k1(0.9).bm25_b(0.4).build().unwrap();
-        assert_eq!((c.rank_k, c.bm25_k1, c.bm25_b), (64, 0.9, 0.4));
-        assert!(ServeConfig::builder().rank_k(0).build().is_err());
-        assert!(ServeConfig::builder().bm25_k1(-0.1).build().is_err());
-        assert!(ServeConfig::builder().bm25_k1(f64::NAN).build().is_err());
-        assert!(ServeConfig::builder().bm25_b(1.5).build().is_err());
-        assert!(ServeConfig::builder().bm25_b(f64::INFINITY).build().is_err());
-    }
-
     /// `RANK` serves BM25 hits from the published snapshot, agrees
     /// bit-exactly with the live engine's WAND ranker, and enforces the
-    /// configured k ceiling.
+    /// k ceiling.
     #[test]
     fn rank_serves_bm25_from_the_snapshot() {
-        let array = sparse_array(2, 50_000, 256);
-        let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
-        let config =
-            ServeConfig::builder().rank_k(8).bm25_k1(1.2).bm25_b(0.75).build().unwrap();
-        let s = QueryService::with_config(engine, config).unwrap();
+        let s = service(1024);
         s.ingest_batch(&[
             "the cat sat on the mat",
             "the dog chased the cat around",
@@ -842,7 +782,7 @@ mod tests {
         let Payload::Hits(hits) = resp.payload else { panic!("expected hits") };
         assert_eq!(hits.len(), 2);
         let oracle = s.with_read(|_, e| {
-            let params = invidx_ir::Bm25Params { k1: 1.2, b: 0.75 };
+            let params = Bm25Params::default();
             e.execute(&EngineQuery::Rank { text: "cat dog".into(), k: 2, params }).unwrap()
         });
         assert_eq!(oracle.hits().unwrap().len(), 2);
@@ -858,7 +798,8 @@ mod tests {
         assert_eq!(Payload::Hits(hits), again.payload);
         assert_eq!(s.stats().cache_hits, 1);
         // Beyond the ceiling: typed rejection, not an unbounded heap.
-        let err = s.execute(&Request::Rank(9, "cat".into())).unwrap_err();
+        assert!(s.execute(&Request::Rank(MAX_RANK_K, "cat".into())).is_ok());
+        let err = s.execute(&Request::Rank(1001, "cat".into())).unwrap_err();
         assert_eq!(err.code(), "badrequest");
     }
 

@@ -2,7 +2,7 @@
 //! an allocation.
 //!
 //! `LIKE`, `WLIKE` and `WRANK` take `k` off the socket with no ceiling
-//! (only `RANK` is checked against `rank_k`). The top-k heaps used to
+//! (only `RANK` is checked against `MAX_RANK_K`). The top-k heaps used to
 //! reserve `k + 1` slots up front, so `LIKE 1000000000000 cat` asked for a
 //! 16 TB heap (allocation failure aborts the process) and
 //! `LIKE 18446744073709551615 cat` overflowed `k + 1`. Both must now get
@@ -13,10 +13,8 @@ use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_ir::DurableEngine;
 use invidx_serve::{
-    parse_response, Frontend, Payload, QueryService, Request, ServeConfig, Server,
+    parse_response, Client, Frontend, Payload, QueryService, Request, ServeConfig, Server,
 };
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,14 +96,8 @@ fn huge_k_gets_the_ordinary_answer_and_every_reader_survives() {
 fn huge_k_over_tcp_gets_the_ordinary_answer() {
     let service = service();
     let server = Server::bind("127.0.0.1:0", Arc::clone(&service), config()).unwrap();
-    let stream = TcpStream::connect(server.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut roundtrip = |line: String| {
-        writeln!(&stream, "{line}").unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
-        reply
-    };
+    let mut client = Client::connect(server.addr(), Duration::from_secs(30)).unwrap();
+    let mut roundtrip = |line: String| client.line(&line).unwrap();
     let ordinary: Vec<Payload> =
         requests(10).iter().map(|r| service.execute(r).unwrap().payload).collect();
     for k in HOSTILE_K {

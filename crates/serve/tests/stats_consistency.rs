@@ -15,10 +15,9 @@
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_ir::DurableEngine;
-use invidx_serve::{parse_response, Payload, QueryService, ServeConfig, Server};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use invidx_serve::{parse_response, Client, Payload, QueryService, ServeConfig, Server};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn stats_verb_matches_in_process_counters() {
@@ -55,12 +54,9 @@ fn stats_verb_matches_in_process_counters() {
     service.ingest_batch(&warm).unwrap();
 
     let srv = Server::bind("127.0.0.1:0", Arc::clone(&service), serve).unwrap();
-    let stream = TcpStream::connect(srv.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut client = Client::connect(srv.addr(), Duration::from_secs(30)).unwrap();
     let mut roundtrip = |line: &str| -> String {
-        writeln!(&stream, "{line}").unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
+        let reply = client.line(line).unwrap();
         assert!(reply.starts_with("OK "), "{line} failed: {reply}");
         reply
     };

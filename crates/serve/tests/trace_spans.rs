@@ -11,10 +11,9 @@
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
 use invidx_ir::DurableEngine;
-use invidx_serve::{QueryService, ServeConfig, Server};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use invidx_serve::{Client, QueryService, ServeConfig, Server};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Minimal field extraction from one NDJSON event line (the events are
 /// flat objects with unescaped keys, rendered by invidx-obs itself).
@@ -108,15 +107,11 @@ fn sampled_query_yields_decomposed_span_tree() {
     service.ingest_batch(&docs).unwrap();
 
     let srv = Server::bind("127.0.0.1:0", service, serve).unwrap();
-    let stream = TcpStream::connect(srv.addr()).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut reply = String::new();
+    let mut client = Client::connect(srv.addr(), Duration::from_secs(30)).unwrap();
     // Several attempts: the 10% budget is checked against the best trace
     // so one scheduler hiccup cannot flake the test.
     for _ in 0..6 {
-        writeln!(&stream, "QUERY hot").unwrap();
-        reply.clear();
-        reader.read_line(&mut reply).unwrap();
+        let reply = client.line("QUERY hot").unwrap();
         assert!(reply.starts_with("OK "), "query failed: {reply}");
     }
     srv.shutdown();

@@ -311,12 +311,13 @@ fn cmd_serve(dir: &Path, args: &[String]) -> Result<(), String> {
         events.as_deref().map(|p| format!(", events -> {}", p.display())).unwrap_or_default(),
     );
     println!("protocol: QUERY | PHRASE | NEAR | LIKE | RANK | DOC | STATS | METRICS | PING | ADD | FLUSH | CHECKPOINT | QUIT");
-    println!(
-        "try:      printf 'QUERY cat and dog\\nQUIT\\n' | nc {} {}",
-        server.addr().ip(),
-        server.addr().port()
-    );
-    // Serve until the process is killed; connection threads do the work.
+    serve_until_killed(server.addr())
+}
+
+/// Print the `nc` one-liner for a listening endpoint, then serve until
+/// the process is killed; connection threads do the work.
+fn serve_until_killed(addr: std::net::SocketAddr) -> ! {
+    println!("try:      printf 'QUERY cat and dog\\nQUIT\\n' | nc {} {}", addr.ip(), addr.port());
     loop {
         std::thread::park();
     }
@@ -398,8 +399,8 @@ fn cmd_shard_init(dir: &Path, args: &[String]) -> Result<(), String> {
 /// (`OK <e0,e1,...> <payload>`).
 fn cmd_route(dir: &Path, args: &[String]) -> Result<(), String> {
     use invidx::router::{
-        LocalShard, Partitioner, ReadPolicy, ReplicaSet, ReplicaTailer, Router, RouterServer,
-        ShardBackend, TailerOptions,
+        LocalShard, Partitioner, ReadPolicy, ReplicaSet, ReplicaTailer, Router, ShardBackend,
+        TailerOptions,
     };
     use invidx::serve::{QueryService, ServeConfig, ServeEngine, Server};
     use std::sync::Arc;
@@ -521,24 +522,17 @@ fn cmd_route(dir: &Path, args: &[String]) -> Result<(), String> {
         router.total_docs(),
     );
     let server =
-        RouterServer::bind(&addr, router).map_err(|e| format!("cannot bind {addr}: {e}"))?;
+        Server::start(&addr, router).map_err(|e| format!("cannot bind {addr}: {e}"))?;
     println!(
         "listening on {} (deadline {deadline_ms} ms, hedge {} , attempts {attempts})",
         server.addr(),
         if hedge_ms > 0 { format!("{hedge_ms} ms") } else { "off".into() },
     );
     println!("protocol: QUERY | PHRASE | NEAR | LIKE | RANK | DF | WLIKE | WRANK | DOC | STATS | METRICS | PING | ADD | FLUSH | QUIT");
-    println!(
-        "try:      printf 'QUERY cat and dog\\nQUIT\\n' | nc {} {}",
-        server.addr().ip(),
-        server.addr().port()
-    );
-    // Route until the process is killed; `tailers` stays alive here so
-    // the replicas keep catching up in the background.
+    // `tailers` stays alive here so the replicas keep catching up in the
+    // background.
     let _tailers = tailers;
-    loop {
-        std::thread::park();
-    }
+    serve_until_killed(server.addr())
 }
 
 fn cmd_init(dir: &Path, args: &[String]) -> Result<(), String> {
@@ -1022,39 +1016,31 @@ fn cmd_metrics(dir: &Path, args: &[String]) -> Result<(), String> {
 /// One poll of a running server: scrape the `METRICS` and `STATS` verbs
 /// over an existing connection.
 fn poll_server(
-    mut stream: &std::net::TcpStream,
-    reader: &mut std::io::BufReader<std::net::TcpStream>,
+    client: &mut invidx::serve::Client,
 ) -> Result<(u64, invidx::obs::Snapshot, invidx::serve::ServeStats), String> {
-    use std::io::{BufRead, Write};
-    writeln!(stream, "METRICS").map_err(|e| format!("send METRICS: {e}"))?;
-    let mut header = String::new();
-    reader.read_line(&mut header).map_err(|e| format!("read METRICS header: {e}"))?;
-    // `OK <epoch> METRICS <nlines>` then nlines of Prometheus text.
-    let mut parts = header.split_whitespace();
-    let (Some("OK"), Some(epoch), Some("METRICS"), Some(n)) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(format!("bad METRICS header: {header:?}"));
-    };
-    let epoch: u64 = epoch.parse().map_err(|e| format!("METRICS epoch: {e}"))?;
-    let n: usize = n.parse().map_err(|e| format!("METRICS line count: {e}"))?;
     let mut text = String::new();
-    for _ in 0..n {
-        reader.read_line(&mut text).map_err(|e| format!("read METRICS body: {e}"))?;
-    }
+    let epoch: u64 = client
+        .framed("METRICS", "METRICS", |line| {
+            text.push_str(line);
+            text.push('\n');
+            Ok(())
+        })
+        .map_err(|e| format!("scrape METRICS: {e}"))?
+        .map_err(|e| format!("METRICS failed: {e}"))?;
     let snap = invidx::obs::parse_prometheus(&text)
         .map_err(|e| format!("malformed exposition from server: {e}"))?;
-    writeln!(stream, "STATS").map_err(|e| format!("send STATS: {e}"))?;
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("read STATS: {e}"))?;
-    let resp = invidx::serve::parse_response(&line)
-        .map_err(|e| format!("parse STATS: {e}"))?
+    let resp = client
+        .call(&invidx::serve::Request::Stats)
+        .map_err(|e| format!("read STATS: {e}"))?
         .map_err(|e| format!("STATS failed: {e}"))?;
     let invidx::serve::Payload::Stats(stats) = resp.payload else {
-        return Err(format!("STATS returned a non-stats payload: {line:?}"));
+        return Err(format!("STATS returned a non-stats payload: {:?}", resp.payload));
     };
     Ok((epoch, snap, stats))
 }
+
+/// How long `top` waits on the server for a connect or a reply.
+const TOP_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// Live dashboard over a running `invidx serve`: polls `METRICS` + `STATS`
 /// and renders qps, tail latency, cache hit rates, shedding, SLO budget,
@@ -1083,10 +1069,8 @@ fn cmd_top(addr: &str, args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown top option {other:?}")),
         }
     }
-    let stream = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut reader = std::io::BufReader::new(
-        stream.try_clone().map_err(|e| format!("clone stream: {e}"))?,
-    );
+    let mut client = invidx::serve::Client::connect(addr, TOP_TIMEOUT)
+        .map_err(|e| format!("connect {addr}: {e}"))?;
     let gauge = |snap: &invidx::obs::Snapshot, name: &str| -> i64 {
         snap.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
     };
@@ -1099,7 +1083,7 @@ fn cmd_top(addr: &str, args: &[String]) -> Result<(), String> {
     };
     let mut prev: Option<(std::time::Instant, u64)> = None;
     loop {
-        let (epoch, snap, stats) = poll_server(&stream, &mut reader)?;
+        let (epoch, snap, stats) = poll_server(&mut client)?;
         let now = std::time::Instant::now();
         let queries = counter(&snap, "serve_queries_total");
         let qps = match prev {

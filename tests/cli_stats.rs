@@ -3,8 +3,7 @@
 //! through the parser, and `invidx serve` + `invidx top --once` make one
 //! live dashboard frame from the METRICS/STATS verbs.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
@@ -111,12 +110,10 @@ fn stats_metrics_and_top_agree_end_to_end() {
             break rest.split_whitespace().next().unwrap().to_string();
         }
     };
-    let stream = TcpStream::connect(&addr).unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut client =
+        invidx::serve::Client::connect(&addr, std::time::Duration::from_secs(30)).unwrap();
     for req in ["QUERY fox", "QUERY dog"] {
-        writeln!(&stream, "{req}").unwrap();
-        let mut reply = String::new();
-        reader.read_line(&mut reply).unwrap();
+        let reply = client.line(req).unwrap();
         assert!(reply.starts_with("OK "), "{req} failed: {reply}");
     }
 
