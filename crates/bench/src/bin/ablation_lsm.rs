@@ -2,9 +2,11 @@
 //!
 //! The paper's engine folds every batch into its buckets and long lists in
 //! place; the segmented engine caps that machinery at an L0 byte budget,
-//! seals overflow into immutable segments, and pays merges later. This
-//! ablation builds the same corpus through both engines over the same disk
-//! model and reports, per engine:
+//! seals overflow into immutable segments, and pays merges later. Both are
+//! one store, [`DurableSegmentedIndex`], built without a log under two
+//! [`EngineKind`]s (the in-place one has no seal budget). This ablation
+//! builds the same corpus through both over the same disk model and
+//! reports, per engine:
 //!
 //! * ingest throughput (docs/s over the full build),
 //! * write amplification (device bytes written during the build per byte
@@ -26,8 +28,7 @@ use invidx_core::types::{DocId, WordId};
 use invidx_corpus::{CorpusGenerator, CorpusParams};
 use invidx_disk::trace::OpKind;
 use invidx_disk::{sparse_array, DiskArray};
-use invidx_durable::DurableIndex;
-use invidx_segment::{DurableSegmentedIndex, SegmentStats};
+use invidx_segment::DurableSegmentedIndex;
 use invidx_sim::TextTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -137,53 +138,20 @@ fn live_blocks(a: &DiskArray) -> u64 {
     a.per_disk_usage().iter().map(|&(free, total)| total - free).sum()
 }
 
-/// The calls the build and query loops make, so one `run` drives the
-/// in-place store and the segmented one (both built without a log).
-trait Store {
-    fn insert_documents(&mut self, docs: Vec<(DocId, Vec<WordId>)>);
-    fn delete_document(&mut self, doc: DocId);
-    fn flush(&mut self);
-    fn postings(&self, word: WordId) -> Vec<DocId>;
-    fn array(&self) -> &DiskArray;
-    fn tiers(&self) -> Option<SegmentStats>;
+fn docs_of(engine: &DurableSegmentedIndex, word: WordId) -> Vec<DocId> {
+    engine.postings(word).expect("postings").docs().to_vec()
 }
 
-macro_rules! impl_store {
-    ($store:ty, $tiers:expr) => {
-        impl Store for $store {
-            fn insert_documents(&mut self, docs: Vec<(DocId, Vec<WordId>)>) {
-                <$store>::insert_documents(self, docs, 1).expect("insert");
-            }
-            fn delete_document(&mut self, doc: DocId) {
-                <$store>::delete_document(self, doc);
-            }
-            fn flush(&mut self) {
-                <$store>::flush(self).expect("flush");
-            }
-            fn postings(&self, word: WordId) -> Vec<DocId> {
-                <$store>::postings(self, word).expect("postings").docs().to_vec()
-            }
-            fn array(&self) -> &DiskArray {
-                self.inner().array()
-            }
-            fn tiers(&self) -> Option<SegmentStats> {
-                $tiers(self)
-            }
-        }
-    };
-}
-impl_store!(DurableIndex, |_: &DurableIndex| None);
-impl_store!(DurableSegmentedIndex, |ix: &DurableSegmentedIndex| Some(ix.stats()));
-
-fn run(label: &'static str, mut engine: impl Store, stream: &[WordId]) -> RunStats {
-    engine.array().start_trace();
+fn run(label: &'static str, kind: EngineKind, stream: &[WordId]) -> RunStats {
+    let mut engine = DurableSegmentedIndex::without_log(array(), config(kind)).expect("create");
+    engine.inner().array().start_trace();
     let start = Instant::now();
     let mut docs = 0u64;
     let mut next_doc = 1u32;
     for batch in batches() {
         docs += batch.len() as u64;
         let last = next_doc + batch.len() as u32;
-        engine.insert_documents(batch);
+        engine.insert_documents(batch, 1).expect("insert");
         // Deletes land in the batch after their document was flushed.
         while next_doc < last {
             if next_doc.is_multiple_of(DELETE_EVERY) {
@@ -191,10 +159,10 @@ fn run(label: &'static str, mut engine: impl Store, stream: &[WordId]) -> RunSta
             }
             next_doc += 1;
         }
-        engine.flush();
+        engine.flush().expect("flush");
     }
     let ingest_secs = start.elapsed().as_secs_f64();
-    let trace = engine.array().take_trace();
+    let trace = engine.inner().array().take_trace();
     let build_write_bytes: u64 = trace
         .ops
         .iter()
@@ -202,33 +170,25 @@ fn run(label: &'static str, mut engine: impl Store, stream: &[WordId]) -> RunSta
         .map(|op| op.blocks)
         .sum::<u64>()
         * BLOCK_SIZE as u64;
-    let live = live_blocks(engine.array());
+    let live = live_blocks(engine.inner().array());
 
-    engine.array().start_trace();
+    engine.inner().array().start_trace();
     for &word in stream {
-        engine.postings(word);
+        docs_of(&engine, word);
     }
-    let query_trace = engine.array().take_trace();
+    let query_trace = engine.inner().array().take_trace();
     let device_reads = query_trace.count(|op| op.kind == OpKind::Read);
 
     // Snapshot postings for the parity gate: the whole hot head plus a
     // spread of the tail.
     let mut sample: Vec<WordId> = (1..=64).map(WordId).collect();
     sample.extend((1..=40u64).map(|i| WordId(i * 479)));
-    let postings = sample.into_iter().map(|w| (w, engine.postings(w))).collect();
+    let postings = sample.into_iter().map(|w| (w, docs_of(&engine, w))).collect();
 
-    let (seals, merges, levels) = match engine.tiers() {
-        None => (0, 0, "-".to_string()),
-        Some(s) => {
-            let levels = s
-                .levels
-                .iter()
-                .map(|(l, n, b)| format!("L{l}:{n}({b}blk)"))
-                .collect::<Vec<_>>()
-                .join(" ");
-            (s.seals, s.merges, if levels.is_empty() { "-".into() } else { levels })
-        }
-    };
+    let tiers = engine.stats();
+    let levels: Vec<String> =
+        tiers.levels.iter().map(|(l, n, b)| format!("L{l}:{n}({b}blk)")).collect();
+    let levels = if levels.is_empty() { "-".to_string() } else { levels.join(" ") };
 
     invidx_obs::log_progress(
         "ablation",
@@ -247,19 +207,17 @@ fn run(label: &'static str, mut engine: impl Store, stream: &[WordId]) -> RunSta
         live_blocks: live,
         device_reads,
         postings,
-        seals,
-        merges,
+        seals: tiers.seals,
+        merges: tiers.merges,
         levels,
     }
 }
 
 fn main() {
     let stream = zipf_stream(corpus().vocab_ranks as u64, QUERIES, 11);
-    let in_place = DurableIndex::without_log(array(), config(EngineKind::InPlace));
-    let inplace = run("in-place", in_place.expect("create"), &stream);
-    let tiered = config(EngineKind::Segmented { l0_budget: 48 * 1024, fanout: 3 });
-    let tiered = DurableSegmentedIndex::without_log(array(), tiered);
-    let segmented = run("segmented", tiered.expect("create"), &stream);
+    let inplace = run("in-place", EngineKind::InPlace, &stream);
+    let tiered = EngineKind::Segmented { l0_budget: 48 * 1024, fanout: 3 };
+    let segmented = run("segmented", tiered, &stream);
 
     let mut rows = Vec::new();
     for s in [&inplace, &segmented] {

@@ -64,6 +64,12 @@ pub enum IndexError {
         /// Codec the caller's configuration asked for.
         requested: crate::codec::PostingsCodec,
     },
+    /// An existing store has a segment manifest, so it can only be opened
+    /// by a store that can seal ([`crate::index::EngineKind::Segmented`]).
+    EngineMismatch {
+        /// Engine kind the caller's configuration asked for.
+        requested: crate::index::EngineKind,
+    },
 }
 
 impl fmt::Display for IndexError {
@@ -83,6 +89,10 @@ impl fmt::Display for IndexError {
             Self::CodecMismatch { on_disk, requested } => write!(
                 f,
                 "postings codec mismatch: on-disk index uses {on_disk}, caller requested {requested}"
+            ),
+            Self::EngineMismatch { requested } => write!(
+                f,
+                "engine mismatch: the store has a segment manifest, caller requested {requested:?}"
             ),
         }
     }

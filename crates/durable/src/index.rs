@@ -35,7 +35,7 @@ use invidx_core::{
     BatchReport, CompactReport, DocId, DualIndex, IndexConfig, IndexError, PostingList,
     RebalanceReport, SweepReport, WordId,
 };
-use invidx_disk::{Disk, DiskArray, FileDevice, FitStrategy, FreeList, IoOp, OpKind, Payload};
+use invidx_disk::{Disk, DiskArray, FileDevice, FitStrategy, FreeList};
 use invidx_obs::names;
 use std::path::{Path, PathBuf};
 
@@ -54,10 +54,6 @@ pub struct DurableOptions {
     /// commit point to the OS page cache — only the durability-overhead
     /// ablation should do that.
     pub fsync_wal: bool,
-    /// Record WAL appends and checkpoint writes in the array's I/O trace
-    /// (as [`Payload::Wal`] / [`Payload::Checkpoint`] ops) so experiments
-    /// can count durability I/O alongside index I/O.
-    pub trace_durability_ops: bool,
     /// Overlap each flush's WAL append + fsync with the in-place batch
     /// apply on a background thread, joining before the flush returns.
     /// Crash-safe: if the process dies before the fsync lands, the record
@@ -71,12 +67,7 @@ pub struct DurableOptions {
 
 impl Default for DurableOptions {
     fn default() -> Self {
-        Self {
-            checkpoint_every: 8,
-            fsync_wal: true,
-            trace_durability_ops: false,
-            pipelined_wal: false,
-        }
+        Self { checkpoint_every: 8, fsync_wal: true, pipelined_wal: false }
     }
 }
 
@@ -105,12 +96,6 @@ impl DurableOptionsBuilder {
     /// fsync the WAL at each commit.
     pub fn fsync_wal(mut self, on: bool) -> Self {
         self.opts.fsync_wal = on;
-        self
-    }
-
-    /// Record WAL/checkpoint ops in the array's I/O trace.
-    pub fn trace_durability_ops(mut self, on: bool) -> Self {
-        self.opts.trace_durability_ops = on;
         self
     }
 
@@ -661,7 +646,7 @@ impl Log {
         record: &WalRecord,
         apply: impl FnOnce(&mut DualIndex) -> invidx_core::Result<T>,
     ) -> Result<T> {
-        self.commit_record(inner, record)?;
+        self.commit_record(record)?;
         let report = apply(inner)?;
         self.after_record(inner, injector)?;
         Ok(report)
@@ -682,16 +667,6 @@ impl Log {
         record: &WalRecord,
     ) -> Result<BatchReport> {
         let frame = record.encode_frame();
-        if self.opts.trace_durability_ops {
-            let bs = inner.array().block_size() as u64;
-            inner.array().trace_push(IoOp {
-                kind: OpKind::Write,
-                disk: 0,
-                start: record.batch(),
-                blocks: (frame.len() as u64).div_ceil(bs).max(1),
-                payload: Payload::Wal,
-            });
-        }
         let fsync = self.opts.fsync_wal;
         let wal = &mut self.wal;
         let (wal_result, apply_result) = std::thread::scope(|s| {
@@ -720,23 +695,13 @@ impl Log {
         Ok(report)
     }
 
-    fn commit_record(&mut self, inner: &DualIndex, record: &WalRecord) -> Result<()> {
+    fn commit_record(&mut self, record: &WalRecord) -> Result<()> {
         let bytes = self.wal.append(record)?;
         invidx_obs::counter!(names::WAL_APPENDS).inc();
         invidx_obs::counter!(names::WAL_BYTES).add(bytes);
         if self.opts.fsync_wal {
             self.wal.sync()?;
             invidx_obs::counter!(names::WAL_FSYNCS).inc();
-        }
-        if self.opts.trace_durability_ops {
-            let bs = inner.array().block_size() as u64;
-            inner.array().trace_push(IoOp {
-                kind: OpKind::Write,
-                disk: 0,
-                start: record.batch(),
-                blocks: bytes.div_ceil(bs).max(1),
-                payload: Payload::Wal,
-            });
         }
         Ok(())
     }
@@ -772,16 +737,6 @@ impl Log {
         let bytes = ck.write(&self.ckpt_path, injector)?;
         invidx_obs::counter!(names::CHECKPOINT_WRITES).inc();
         invidx_obs::counter!(names::CHECKPOINT_BYTES).add(bytes);
-        if self.opts.trace_durability_ops {
-            let bs = inner.array().block_size() as u64;
-            inner.array().trace_push(IoOp {
-                kind: OpKind::Write,
-                disk: 0,
-                start: batch,
-                blocks: bytes.div_ceil(bs).max(1),
-                payload: Payload::Checkpoint,
-            });
-        }
         // The checkpoint is committed: records covering batches <= `batch`
         // are dead, and nothing can replay reads against quarantined
         // extents anymore.

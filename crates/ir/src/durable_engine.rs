@@ -29,6 +29,12 @@
 //! same — [`RecoveryHooks::on_checkpoint_meta`] re-reserves the checkpoint's
 //! document extents before any replay, and [`RecoveryHooks::before_apply`]
 //! redoes a batch's document appends before its index postings land.
+//!
+//! There is one store, [`DurableSegmentedIndex`]: the paper's in-place
+//! index as L0, plus sealed segments when [`IndexConfig::engine`] gives
+//! it a seal budget. The engine never asks which kind it runs; the store
+//! decides what a seal budget changes (whether it writes a manifest,
+//! whether it may sweep).
 
 use crate::boolean::PostingSource;
 use crate::engine::{EngineCore, LiveReader};
@@ -36,10 +42,10 @@ use crate::query::{EngineQuery, QueryOutput};
 use crate::rank::Bm25Params;
 use crate::vector::Hit;
 use invidx_core::index::{
-    BatchReport, CompactReport, DualIndex, EngineKind, IndexConfig, RebalanceReport, SweepReport,
+    BatchReport, CompactReport, DualIndex, IndexConfig, RebalanceReport, SweepReport,
 };
 use invidx_core::postings::PostingList;
-use invidx_core::types::{DocId, IndexError, WordId};
+use invidx_core::types::{DocId, WordId};
 use invidx_disk::DiskArray;
 use invidx_durable::{
     DurableError, DurableIndex, DurableOptions, FaultInjector, RecoveryHooks, RecoveryInfo,
@@ -48,87 +54,10 @@ use invidx_durable::{
 use invidx_segment::{DurableSegmentedIndex, SegmentStats};
 use std::path::Path;
 
-/// The store behind a [`DurableEngine`], selected by
-/// [`IndexConfig::engine`] at creation: a [`DurableIndex`] alone (the
-/// paper's in-place design), or a [`DurableSegmentedIndex`] that layers
-/// sealed segments, a manifest, and compaction over it.
-pub(crate) enum DurableBackend {
-    /// The in-place dual-structure index.
-    InPlace(DurableIndex),
-    /// The same index as L0, plus the segment tier.
-    Segmented(DurableSegmentedIndex),
-}
-
-impl DurableBackend {
-    /// The L0 store (the whole store when in-place). Whatever does not
-    /// differ between the two layouts — inserts, deletions, L0
-    /// maintenance, the shared disk array — goes straight to it.
-    fn l0(&self) -> &DurableIndex {
-        match self {
-            DurableBackend::InPlace(ix) => ix,
-            DurableBackend::Segmented(ix) => ix.l0(),
-        }
-    }
-
-    fn l0_mut(&mut self) -> &mut DurableIndex {
-        match self {
-            DurableBackend::InPlace(ix) => ix,
-            DurableBackend::Segmented(ix) => ix.l0_mut(),
-        }
-    }
-
-    /// Segment-tier statistics, when this backend is segmented.
-    fn segment_stats(&self) -> Option<SegmentStats> {
-        match self {
-            DurableBackend::InPlace(_) => None,
-            DurableBackend::Segmented(ix) => Some(ix.stats()),
-        }
-    }
-
-    fn set_checkpoint_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) {
-        match self {
-            DurableBackend::InPlace(ix) => ix.set_checkpoint_meta(meta),
-            DurableBackend::Segmented(ix) => ix.set_checkpoint_meta(meta),
-        }
-    }
-
-    fn flush_with_meta(
-        &mut self,
-        meta: impl FnOnce() -> Vec<u8>,
-    ) -> invidx_durable::Result<BatchReport> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.flush_with_meta(meta),
-            DurableBackend::Segmented(ix) => ix.flush_with_meta(meta).map_err(Into::into),
-        }
-    }
-
-    fn checkpoint(&mut self) -> invidx_durable::Result<u64> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.checkpoint(),
-            DurableBackend::Segmented(ix) => ix.checkpoint().map_err(Into::into),
-        }
-    }
-
-    fn sweep(&mut self) -> invidx_durable::Result<SweepReport> {
-        match self {
-            DurableBackend::InPlace(ix) => ix.sweep(),
-            // Sweeping L0 would clear tombstones that sealed segments
-            // still need for read-time filtering; deletions are instead
-            // dropped for good when segments merge.
-            DurableBackend::Segmented(_) => Err(DurableError::Index(IndexError::InvalidConfig(
-                "the segmented engine has no sweep; deletions are purged by compaction".into(),
-            ))),
-        }
-    }
-}
-
-impl PostingSource for DurableBackend {
+impl PostingSource for DurableSegmentedIndex {
     fn postings(&self, word: WordId) -> invidx_core::Result<PostingList> {
         let _stage = invidx_obs::trace::stage("term");
-        let list = match self {
-            DurableBackend::InPlace(ix) => ix.inner().postings(word)?,
-            DurableBackend::Segmented(ix) => ix.postings(word).map_err(IndexError::from)?,
-        };
+        let list = DurableSegmentedIndex::postings(self, word)?;
         invidx_obs::trace::add_items(list.len() as u64);
         Ok(list)
     }
@@ -264,7 +193,7 @@ impl RecoveryHooks for EngineHooks {
 /// std::fs::remove_dir_all(&dir).ok();
 /// ```
 pub struct DurableEngine {
-    backend: DurableBackend,
+    store: DurableSegmentedIndex,
     core: EngineCore,
     /// Documents added since the last flush; their texts become the next
     /// WAL record's metadata.
@@ -290,15 +219,8 @@ impl DurableEngine {
         opts: DurableOptions,
         injector: FaultInjector,
     ) -> invidx_durable::Result<Self> {
-        let backend = match config.engine {
-            EngineKind::InPlace => DurableBackend::InPlace(DurableIndex::create_with(
-                dir, config, geometry, opts, injector,
-            )?),
-            EngineKind::Segmented { .. } => DurableBackend::Segmented(
-                DurableSegmentedIndex::create_with(dir, config, geometry, opts, injector)?,
-            ),
-        };
-        Ok(Self { backend, core: EngineCore::new(), pending_docs: Vec::new() })
+        let store = DurableSegmentedIndex::create_with(dir, config, geometry, opts, injector)?;
+        Ok(Self { store, core: EngineCore::new(), pending_docs: Vec::new() })
     }
 
     /// A fresh engine on `array` with no write-ahead log and no store
@@ -306,13 +228,8 @@ impl DurableEngine {
     /// and nothing survives the process (see
     /// [`DurableIndex::without_log`]).
     pub fn without_log(array: DiskArray, config: IndexConfig) -> invidx_durable::Result<Self> {
-        let backend = match config.engine {
-            EngineKind::InPlace => DurableBackend::InPlace(DurableIndex::without_log(array, config)?),
-            EngineKind::Segmented { .. } => {
-                DurableBackend::Segmented(DurableSegmentedIndex::without_log(array, config)?)
-            }
-        };
-        Ok(Self { backend, core: EngineCore::new(), pending_docs: Vec::new() })
+        let store = DurableSegmentedIndex::without_log(array, config)?;
+        Ok(Self { store, core: EngineCore::new(), pending_docs: Vec::new() })
     }
 
     /// Open (recover) a durable engine from `dir`: restore the checkpoint's
@@ -334,17 +251,10 @@ impl DurableEngine {
         injector: FaultInjector,
     ) -> invidx_durable::Result<Self> {
         let mut hooks = EngineHooks { core: EngineCore::new() };
-        let backend = match config.engine {
-            EngineKind::InPlace => DurableBackend::InPlace(DurableIndex::open_with(
-                dir, config, opts, injector, &mut hooks,
-            )?),
-            // The segment layer peels its manifest slice off the
-            // checkpoint meta and hands these hooks the engine blob.
-            EngineKind::Segmented { .. } => DurableBackend::Segmented(
-                DurableSegmentedIndex::open_with(dir, config, opts, injector, &mut hooks)?,
-            ),
-        };
-        Ok(Self { backend, core: hooks.core, pending_docs: Vec::new() })
+        // A store with a manifest peels its slice off the checkpoint meta
+        // and hands these hooks the engine blob.
+        let store = DurableSegmentedIndex::open_with(dir, config, opts, injector, &mut hooks)?;
+        Ok(Self { store, core: hooks.core, pending_docs: Vec::new() })
     }
 
     // ----- updates -----
@@ -356,9 +266,9 @@ impl DurableEngine {
     pub fn add_document(&mut self, text: &str) -> invidx_durable::Result<DocId> {
         let words = self.core.lex_and_intern(text)?;
         let doc = DocId(self.core.next_doc);
-        self.backend.l0_mut().insert_document(doc, words)?;
+        self.store.insert_document(doc, words)?;
         self.core.next_doc += 1;
-        self.core.docs.store(self.backend.l0_mut().inner_mut().sidecar_array(), doc, text)?;
+        self.core.docs.store(self.store.l0_mut().inner_mut().sidecar_array(), doc, text)?;
         self.core.register_doc(doc, text);
         self.core.total_docs += 1;
         self.pending_docs.push((doc, text.to_string()));
@@ -371,7 +281,7 @@ impl DurableEngine {
     /// as calling [`Self::add_document`] once per text — recovery replays
     /// the logged texts one at a time and converges on identical state.
     pub fn add_documents(&mut self, texts: &[&str]) -> invidx_durable::Result<Vec<DocId>> {
-        let threads = self.backend.l0().inner().ingest_threads();
+        let threads = self.store.inner().ingest_threads();
         let words = self.core.lex_batch(texts, threads)?;
         let mut ids = Vec::with_capacity(texts.len());
         let mut batch = Vec::with_capacity(texts.len());
@@ -381,9 +291,9 @@ impl DurableEngine {
             batch.push((doc, per_doc));
             ids.push(doc);
         }
-        self.backend.l0_mut().insert_documents(batch, threads)?;
+        self.store.insert_documents(batch, threads)?;
         for (doc, text) in ids.iter().zip(texts) {
-            self.core.docs.store(self.backend.l0_mut().inner_mut().sidecar_array(), *doc, text)?;
+            self.core.docs.store(self.store.l0_mut().inner_mut().sidecar_array(), *doc, text)?;
             self.core.register_doc(*doc, text);
             self.core.total_docs += 1;
             self.pending_docs.push((*doc, text.to_string()));
@@ -396,52 +306,59 @@ impl DurableEngine {
         // Deletions can shrink any list; conservatively invalidate the
         // whole snapshot view (see `EngineCore::dirty_all`).
         self.core.dirty_all = true;
-        self.backend.l0_mut().delete_document(doc);
+        self.store.delete_document(doc);
     }
 
     /// Flush the buffered batch: WAL-commit the postings, the deletions,
-    /// and the batch's document texts, then apply. On the segmented
-    /// engine a flush that crosses the L0 budget also seals a segment
-    /// and runs one compaction tick, each committed durably.
+    /// and the batch's document texts, then apply. When the store has a
+    /// seal budget, a flush that crosses it also seals a segment and runs
+    /// one compaction tick, each committed durably.
     pub fn flush(&mut self) -> invidx_durable::Result<BatchReport> {
         self.stage_checkpoint_meta();
-        let report = self.backend.flush_with_meta(|| encode_batch_meta(&self.pending_docs))?;
+        let report = self.store.flush_with_meta(|| encode_batch_meta(&self.pending_docs))?;
         self.pending_docs.clear();
         Ok(report)
     }
 
     /// Hand the store the engine blob its next checkpoint must embed.
     fn stage_checkpoint_meta(&mut self) {
-        self.backend.set_checkpoint_meta(|| self.core.encode_meta());
+        self.store.set_checkpoint_meta(|| self.core.encode_meta());
     }
 
-    /// Run the deletion sweep as a logged, replayable operation
-    /// (in-place engine only; the segmented engine purges deletions
-    /// through compaction instead).
+    /// Run a logged maintenance op, which may checkpoint, with the engine
+    /// blob staged. Only an op the store accepts invalidates the snapshot
+    /// view; a refused one changed nothing.
+    fn maintain<T>(
+        &mut self,
+        op: impl FnOnce(&mut DurableSegmentedIndex) -> invidx_durable::Result<T>,
+    ) -> invidx_durable::Result<T> {
+        self.stage_checkpoint_meta();
+        let report = op(&mut self.store)?;
+        self.core.dirty_all = true;
+        Ok(report)
+    }
+
+    /// Run the deletion sweep as a logged, replayable operation. Refused
+    /// once a segment is sealed; from then on deletions are filtered at
+    /// read time.
     pub fn sweep(&mut self) -> invidx_durable::Result<SweepReport> {
-        self.core.dirty_all = true;
-        self.stage_checkpoint_meta();
-        self.backend.sweep()
+        self.maintain(|store| Ok(store.sweep()?))
     }
 
-    /// Rewrite fragmented long lists contiguously (logged; needs a batch
-    /// boundary — flush first). Operates on L0 under the segmented engine.
+    /// Rewrite L0's fragmented long lists contiguously (logged; needs a
+    /// batch boundary — flush first).
     pub fn compact(&mut self) -> invidx_durable::Result<CompactReport> {
-        self.core.dirty_all = true;
-        self.stage_checkpoint_meta();
-        self.backend.l0_mut().compact()
+        self.maintain(|store| store.l0_mut().compact())
     }
 
-    /// Rehash the bucket space to a new geometry (logged; needs a batch
-    /// boundary — flush first). Operates on L0 under the segmented engine.
+    /// Rehash L0's bucket space to a new geometry (logged; needs a batch
+    /// boundary — flush first).
     pub fn rebalance(
         &mut self,
         num_buckets: usize,
         capacity_units: u64,
     ) -> invidx_durable::Result<RebalanceReport> {
-        self.core.dirty_all = true;
-        self.stage_checkpoint_meta();
-        self.backend.l0_mut().rebalance(num_buckets, capacity_units)
+        self.maintain(|store| store.l0_mut().rebalance(num_buckets, capacity_units))
     }
 
     /// Materialize an immutable point-in-time view of this engine for the
@@ -450,15 +367,15 @@ impl DurableEngine {
         &mut self,
         prev: Option<&crate::EngineSnapshot>,
     ) -> invidx_core::Result<crate::EngineSnapshot> {
-        let array = self.backend.l0().inner().array();
-        crate::snapshot::materialize(&mut self.core, &self.backend, array, prev)
+        let array = self.store.inner().array();
+        crate::snapshot::materialize(&mut self.core, &self.store, array, prev)
     }
 
     /// Write a checkpoint now (embedding current engine metadata) and reset
     /// the WAL. Returns the checkpoint size in bytes.
     pub fn checkpoint(&mut self) -> invidx_durable::Result<u64> {
         self.stage_checkpoint_meta();
-        self.backend.checkpoint()
+        Ok(self.store.checkpoint()?)
     }
 
     // ----- queries -----
@@ -469,9 +386,8 @@ impl DurableEngine {
         self.core.total_tokens
     }
 
-    fn reader(&self) -> LiveReader<'_, DurableBackend> {
-        let array = self.backend.l0().inner().array();
-        LiveReader { core: &self.core, source: &self.backend, array }
+    fn reader(&self) -> LiveReader<'_, DurableSegmentedIndex> {
+        LiveReader { core: &self.core, source: &self.store, array: self.store.inner().array() }
     }
 
     /// Evaluate a typed [`EngineQuery`] — the only read entry point,
@@ -509,10 +425,10 @@ impl DurableEngine {
     /// a tailing replica. See [`DurableIndex::wal_records_from`] for the
     /// checkpoint caveat (primaries that ship their WAL must run with
     /// `checkpoint_every: 0`).
-    /// (Segmented engines checkpoint on every seal, truncating the WAL,
-    /// so only in-place primaries can ship their log.)
+    /// (A store with a seal budget checkpoints on every seal, truncating
+    /// the WAL, so only in-place primaries can ship their log.)
     pub fn wal_records_from(&self, from_batch: u64) -> invidx_durable::Result<Vec<WalRecord>> {
-        self.backend.l0().wal_records_from(from_batch)
+        self.store.l0().wal_records_from(from_batch)
     }
 
     /// Apply one shipped WAL record on a replica, re-running the primary's
@@ -530,8 +446,8 @@ impl DurableEngine {
     /// caller should re-seed the replica.
     pub fn apply_replicated(&mut self, record: &WalRecord) -> invidx_durable::Result<u64> {
         // A replica recovers from, and is tailed through, its own log.
-        self.backend.l0().last_checkpoint_batch().ok_or(DurableError::NoLog)?;
-        let expect = self.backend.l0().batches() + 1;
+        self.store.l0().last_checkpoint_batch().ok_or(DurableError::NoLog)?;
+        let expect = self.store.batches() + 1;
         if record.batch() != expect {
             return Err(DurableError::Corrupt(format!(
                 "replica committed batch {}, shipped record is batch {} (gap or replay)",
@@ -568,7 +484,7 @@ impl DurableEngine {
                 self.rebalance(*num_buckets as usize, *capacity_units as u64)?;
             }
         }
-        let now = self.backend.l0().batches();
+        let now = self.store.batches();
         if now != record.batch() {
             return Err(DurableError::Corrupt(format!(
                 "replicated apply produced batch {now}, record says {}",
@@ -580,37 +496,21 @@ impl DurableEngine {
 
     /// The stored text of a document.
     pub fn document(&self, doc: DocId) -> invidx_core::Result<Option<String>> {
-        self.core.docs.load(self.backend.l0().inner().array(), doc)
+        self.core.docs.load(self.store.inner().array(), doc)
     }
 
     // ----- introspection -----
 
-    /// The underlying index (batch count, WAL size, checkpoint state,
+    /// The store's L0 index (batch count, WAL size, checkpoint state,
     /// recovery report, fault injector; `.inner()` for the dual-structure
-    /// index itself) — L0 when segmented.
+    /// index itself) — the whole index when the store never seals.
     pub fn index(&self) -> &DurableIndex {
-        self.backend.l0()
+        self.store.l0()
     }
 
-    /// The segment-tiered store, when running the segmented engine.
-    pub fn segmented(&self) -> Option<&DurableSegmentedIndex> {
-        match &self.backend {
-            DurableBackend::InPlace(_) => None,
-            DurableBackend::Segmented(ix) => Some(ix),
-        }
-    }
-
-    /// Mutable segment-tier access (merge-rate control, forced seals).
-    pub fn segmented_mut(&mut self) -> Option<&mut DurableSegmentedIndex> {
-        match &mut self.backend {
-            DurableBackend::InPlace(_) => None,
-            DurableBackend::Segmented(ix) => Some(ix),
-        }
-    }
-
-    /// Segment-tier statistics, when running the segmented engine.
+    /// Segment-tier statistics, when the store has a seal budget.
     pub fn segment_stats(&self) -> Option<SegmentStats> {
-        self.backend.segment_stats()
+        self.store.can_seal().then(|| self.store.stats())
     }
 
     /// Documents added so far.
@@ -621,7 +521,7 @@ impl DurableEngine {
     /// Block-cache counters, if the index was configured with a cache
     /// (`IndexConfig::cache_blocks > 0`).
     pub fn cache_stats(&self) -> Option<invidx_core::cache::CacheStats> {
-        self.backend.l0().cache_stats()
+        self.store.l0().cache_stats()
     }
 
     /// Distinct words interned so far.
@@ -637,19 +537,20 @@ impl DurableEngine {
     /// What recovery did when this handle was opened (None for freshly
     /// created stores).
     pub fn recovery(&self) -> Option<&RecoveryInfo> {
-        self.backend.l0().recovery()
+        self.store.recovery()
     }
 }
 
 impl PostingSource for DurableEngine {
     fn postings(&self, word: WordId) -> invidx_core::Result<PostingList> {
-        self.backend.postings(word)
+        PostingSource::postings(&self.store, word)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use invidx_core::types::IndexError;
     use std::path::PathBuf;
 
     fn geom() -> StoreGeometry {
@@ -835,6 +736,39 @@ mod tests {
         e.add_document("the cat sat").unwrap();
         e.flush().unwrap();
         assert_eq!(hits(&e, "cat"), vec![DocId(1)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A maintenance op the store refuses changes nothing, so it must not
+    /// force the next publish down the full-rebuild path.
+    #[test]
+    fn refused_maintenance_leaves_the_snapshot_clean() {
+        use invidx_core::index::EngineKind;
+        let dir = tmpdir("refused");
+        let opts = DurableOptions { checkpoint_every: 0, ..Default::default() };
+        let config = IndexConfig {
+            engine: EngineKind::Segmented { l0_budget: 1, fanout: 4 },
+            ..IndexConfig::small()
+        };
+        let mut e = DurableEngine::create(&dir, config, geom(), opts).unwrap();
+        e.add_document("the cat sat on the mat").unwrap();
+        e.flush().unwrap();
+        assert_eq!(e.segment_stats().unwrap().segments, 1);
+        e.snapshot(None).unwrap();
+        assert!(!e.core.dirty_all);
+
+        assert!(e.sweep().is_err(), "a store with a sealed segment has no sweep");
+        assert!(!e.core.dirty_all, "refused sweep");
+        e.add_document("an unflushed dog").unwrap();
+        assert!(e.compact().is_err(), "compaction needs a batch boundary");
+        assert!(!e.core.dirty_all, "refused compact");
+        assert!(e.rebalance(24, 60).is_err(), "rebalance needs a batch boundary");
+        assert!(!e.core.dirty_all, "refused rebalance");
+
+        // Accepted ops still invalidate.
+        e.flush().unwrap();
+        e.compact().unwrap();
+        assert!(e.core.dirty_all);
         std::fs::remove_dir_all(&dir).ok();
     }
 

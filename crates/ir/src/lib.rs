@@ -6,7 +6,9 @@
 //! maximize the weighted sum of occurring words", using inverted lists to
 //! prune candidates. This crate provides both, plus [`DurableEngine`] — a
 //! complete text-in/results-out engine combining the corpus lexer, a word
-//! interner, and [`invidx_core::DualIndex`], crash-safe when built in a
+//! interner, and the one store ([`invidx_segment::DurableSegmentedIndex`]:
+//! the paper's [`invidx_core::DualIndex`] as L0, plus sealed segments when
+//! the configuration gives it a seal budget), crash-safe when built in a
 //! store directory and log-less over a bare disk array — and the
 //! immutable [`EngineSnapshot`] the serving layer reads from.
 //!

@@ -135,8 +135,6 @@ pub const SERVE_QUERIES: &str = "serve_queries_total";
 pub const SERVE_CACHE_HITS: &str = "serve_cache_hits_total";
 /// Result-cache lookups that missed (absent entry).
 pub const SERVE_CACHE_MISSES: &str = "serve_cache_misses_total";
-/// Result-cache entries evicted by capacity pressure.
-pub const SERVE_CACHE_EVICTIONS: &str = "serve_cache_evictions_total";
 /// Result-cache entries lazily discarded because their epoch was stale.
 pub const SERVE_CACHE_STALE_DROPS: &str = "serve_cache_stale_drops_total";
 /// Requests rejected at admission because the queue passed its high-water

@@ -1,8 +1,8 @@
-//! The segment-tiered store: [`DurableIndex`] as L0, sealed segments, a
-//! manifest, and a cooperative compactor.
+//! The one store: [`DurableIndex`] as L0, sealed segments, a manifest,
+//! and a cooperative compactor.
 //!
-//! Fresh batches land in L0's buckets and in-place long lists exactly as
-//! in the in-place engine. When L0's stored footprint crosses the
+//! Fresh batches land in L0's buckets and in-place long lists — the
+//! paper's dual structure. When L0's stored footprint crosses the
 //! configured byte budget at a batch boundary its contents are *sealed* —
 //! written once, sorted by term, into an immutable segment — the manifest
 //! commits the new segment, and L0 restarts empty. Reads merge the sealed
@@ -11,12 +11,27 @@
 //! bounds read amplification by folding `fanout` same-level segments into
 //! one at the next level.
 //!
+//! [`EngineKind::InPlace`] is this store with no seal budget: L0 never
+//! seals, no merge is ever planned, and the store *is* the paper's
+//! in-place index. What used to be a difference of type is a rule of
+//! state:
+//!
+//! * **a manifest iff the store can seal** — only a store with a budget
+//!   writes a `MANIFEST` file and wraps its checkpoint blob in `SEGCKPT1`;
+//!   one without stages the caller's blob straight into L0, so its bytes
+//!   are the in-place index's bytes, and opening a store that has a
+//!   manifest under [`EngineKind::InPlace`] is
+//!   [`IndexError::EngineMismatch`];
+//! * **sweep iff no segment is sealed** — tombstones are needed only while
+//!   a sealed segment may still hold a deleted document.
+//!
 //! A store opened in a directory ([`DurableSegmentedIndex::create`] /
-//! [`DurableSegmentedIndex::open`]) has a logged L0 and a manifest *file*
-//! and follows the commit protocol below. One built over a bare disk
-//! array ([`DurableSegmentedIndex::without_log`]) keeps its manifest in
-//! memory only: seals and merges run the same steps minus the manifest
-//! store and the checkpoints (which a log-less L0 answers with a no-op).
+//! [`DurableSegmentedIndex::open`]) has a logged L0 and, when it can
+//! seal, a manifest *file*, and follows the commit protocol below. One
+//! built over a bare disk array ([`DurableSegmentedIndex::without_log`])
+//! keeps its manifest in memory only: seals and merges run the same steps
+//! minus the manifest store and the checkpoints (which a log-less L0
+//! answers with a no-op).
 //!
 //! ## Commit protocol
 //!
@@ -60,7 +75,10 @@ use crate::error::{Result, SegmentError};
 use crate::format::{self, SegmentMeta};
 use crate::manifest::{Manifest, ManifestFile};
 use crate::store::{build_seal_writer, merge_writer, SegmentStats};
-use invidx_core::{BatchReport, DocId, DualIndex, EngineKind, IndexConfig, PostingList, WordId};
+use invidx_core::{
+    BatchReport, DocId, DualIndex, EngineKind, IndexConfig, IndexError, PostingList, SweepReport,
+    WordId,
+};
 use invidx_disk::DiskArray;
 use invidx_durable::{
     DurableError, DurableIndex, DurableOptions, FaultInjector, RecoveryHooks, RecoveryInfo,
@@ -102,16 +120,18 @@ impl ProtocolSite {
     ];
 }
 
-/// The segment-tiered store: L0 [`DurableIndex`], sealed segments,
-/// manifest (with its file and checkpoint-embedded copy when L0 is
-/// logged), cooperative compactor.
+/// The one store: L0 [`DurableIndex`], sealed segments, manifest (with
+/// its file and checkpoint-embedded copy when L0 is logged and the store
+/// can seal), cooperative compactor.
 pub struct DurableSegmentedIndex {
     l0: DurableIndex,
     manifest: Manifest,
-    /// Where the manifest persists; `None` for a store without a log.
+    /// Where the manifest persists; `None` for a store without a log or
+    /// without a seal budget.
     file: Option<ManifestFile>,
     policy: CompactionPolicy,
-    l0_budget: u64,
+    /// Seal L0 once its stored bytes reach this; `None` never seals.
+    l0_budget: Option<u64>,
     user_meta: Vec<u8>,
     seals: u64,
     merges: u64,
@@ -121,7 +141,7 @@ pub struct DurableSegmentedIndex {
 }
 
 impl DurableSegmentedIndex {
-    /// Create a fresh store in `dir`. `config.engine` must be
+    /// Create a fresh store in `dir`; it seals iff `config.engine` is
     /// [`EngineKind::Segmented`].
     pub fn create(
         dir: &Path,
@@ -140,9 +160,9 @@ impl DurableSegmentedIndex {
         opts: DurableOptions,
         injector: FaultInjector,
     ) -> Result<Self> {
-        let params = engine_params(&config)?;
+        let params = engine_params(&config);
         let l0 = DurableIndex::create_with(dir, config, geometry, opts, injector)?;
-        let file = Some(ManifestFile::in_dir(dir));
+        let file = params.0.map(|_| ManifestFile::in_dir(dir));
         let mut me = Self::assemble(l0, Manifest::new(), file, params, Vec::new());
         me.store_manifest()?;
         me.push_composite_meta();
@@ -150,10 +170,10 @@ impl DurableSegmentedIndex {
     }
 
     /// A fresh store on `array` with no write-ahead log and no manifest
-    /// file (see [`DurableIndex::without_log`]). `config.engine` must be
-    /// [`EngineKind::Segmented`].
+    /// file (see [`DurableIndex::without_log`]); it seals iff
+    /// `config.engine` is [`EngineKind::Segmented`].
     pub fn without_log(array: DiskArray, config: IndexConfig) -> Result<Self> {
-        let params = engine_params(&config)?;
+        let params = engine_params(&config);
         let l0 = DurableIndex::without_log(array, config)?;
         Ok(Self::assemble(l0, Manifest::new(), None, params, Vec::new()))
     }
@@ -162,7 +182,7 @@ impl DurableSegmentedIndex {
         l0: DurableIndex,
         manifest: Manifest,
         file: Option<ManifestFile>,
-        (l0_budget, fanout): (u64, u32),
+        (l0_budget, fanout): (Option<u64>, u32),
         user_meta: Vec<u8>,
     ) -> Self {
         Self {
@@ -202,8 +222,17 @@ impl DurableSegmentedIndex {
         injector: FaultInjector,
         hooks: &mut dyn RecoveryHooks,
     ) -> Result<Self> {
-        let params = engine_params(&config)?;
+        let params = engine_params(&config);
         let file = ManifestFile::in_dir(dir);
+        if params.0.is_none() {
+            // A store that cannot seal has no manifest, and the whole
+            // checkpoint blob is the caller's.
+            if file.path().exists() {
+                return Err(IndexError::EngineMismatch { requested: config.engine }.into());
+            }
+            let l0 = DurableIndex::open_with(dir, config, opts, injector, hooks)?;
+            return Ok(Self::assemble(l0, Manifest::new(), None, params, Vec::new()));
+        }
         let disk_manifest = file.load()?;
         let mut seg_hooks = SegmentHooks { user: hooks, ckpt_manifest: None, user_meta: Vec::new() };
         let mut l0 = DurableIndex::open_with(dir, config, opts, injector, &mut seg_hooks)?;
@@ -292,11 +321,15 @@ impl DurableSegmentedIndex {
 
     // ----- meta plumbing -----
 
-    /// Stage the caller's blob for every subsequent checkpoint. The
-    /// segment layer wraps it with the manifest state transparently.
-    /// Like [`DurableIndex::set_checkpoint_meta`], only calls `meta` when
-    /// there is a checkpoint file to carry it.
+    /// Stage the caller's blob for every subsequent checkpoint. A store
+    /// with a manifest wraps it with the manifest state transparently; one
+    /// without hands it to L0 as is. Like
+    /// [`DurableIndex::set_checkpoint_meta`], only calls `meta` when there
+    /// is a checkpoint file to carry it.
     pub fn set_checkpoint_meta(&mut self, meta: impl FnOnce() -> Vec<u8>) {
+        if self.file.is_none() {
+            return self.l0.set_checkpoint_meta(meta);
+        }
         let (manifest, user_meta) = (&self.manifest, &mut self.user_meta);
         self.l0.set_checkpoint_meta(|| {
             *user_meta = meta();
@@ -310,7 +343,9 @@ impl DurableSegmentedIndex {
     }
 
     fn push_composite_meta(&mut self) {
-        self.l0.set_checkpoint_meta(|| composite_meta(&self.manifest, &self.user_meta));
+        if self.file.is_some() {
+            self.l0.set_checkpoint_meta(|| composite_meta(&self.manifest, &self.user_meta));
+        }
     }
 
     // ----- updates -----
@@ -361,7 +396,8 @@ impl DurableSegmentedIndex {
                 // L0's shadow-paged flush just wrote to the Figure-6
                 // trace; give it its own so per-batch accounting (and the
                 // text round-trip) sees it. A logged L0 marks batches at
-                // its own records.
+                // its own records. (Only a store with a budget tiers, so
+                // here no manifest file means no log.)
                 if tiered && self.file.is_none() {
                     self.l0.inner().array().end_batch();
                 }
@@ -370,18 +406,42 @@ impl DurableSegmentedIndex {
         }
     }
 
-    /// Seal L0 into a segment if it crossed the byte budget.
-    pub fn maybe_seal(&mut self) -> Result<Option<u64>> {
-        if self.l0.inner().stored_bytes() < self.l0_budget {
-            return Ok(None);
+    /// Physically remove deleted documents' postings from L0 (§3's
+    /// sweep), logged like any L0 maintenance op. Refused once a segment
+    /// is sealed: clearing L0's tombstones would resurrect the deleted
+    /// documents a sealed segment still holds, so from then on deletions
+    /// stay tombstones, filtered at read time.
+    pub fn sweep(&mut self) -> Result<SweepReport> {
+        self.check_poison()?;
+        if !self.manifest.segments.is_empty() {
+            return Err(SegmentError::Usage(
+                "the segmented engine has no sweep; deletions are purged by compaction".into(),
+            ));
         }
-        self.seal_now()
+        Ok(self.l0.sweep()?)
+    }
+
+    /// Seal L0 into a segment if it crossed the byte budget (never, for a
+    /// store without one).
+    pub fn maybe_seal(&mut self) -> Result<Option<u64>> {
+        match self.l0_budget {
+            Some(budget) if self.l0.inner().stored_bytes() >= budget => self.seal_now(),
+            _ => Ok(None),
+        }
+    }
+
+    /// Whether this store has a seal budget ([`EngineKind::Segmented`]).
+    pub fn can_seal(&self) -> bool {
+        self.l0_budget.is_some()
     }
 
     /// Unconditionally seal L0 (no-op when empty), committing the full
     /// protocol: extents → flush → manifest → reset → checkpoint.
     pub fn seal_now(&mut self) -> Result<Option<u64>> {
         self.check_poison()?;
+        if !self.can_seal() {
+            return Err(SegmentError::Usage("a store without a seal budget never seals".into()));
+        }
         let Some(writer) = build_seal_writer(self.l0.inner(), self.manifest.peek_next_id())? else {
             return Ok(None);
         };
@@ -593,12 +653,12 @@ impl DurableSegmentedIndex {
     }
 }
 
-fn engine_params(config: &IndexConfig) -> Result<(u64, u32)> {
+/// The seal budget (none for the in-place engine: its L0 never seals)
+/// and the merge fanout.
+fn engine_params(config: &IndexConfig) -> (Option<u64>, u32) {
     match config.engine {
-        EngineKind::Segmented { l0_budget, fanout } => Ok((l0_budget, fanout)),
-        EngineKind::InPlace => Err(SegmentError::Usage(
-            "DurableSegmentedIndex requires EngineKind::Segmented".into(),
-        )),
+        EngineKind::Segmented { l0_budget, fanout } => (Some(l0_budget), fanout),
+        EngineKind::InPlace => (None, EngineKind::DEFAULT_FANOUT),
     }
 }
 

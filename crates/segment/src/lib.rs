@@ -1,12 +1,13 @@
-//! # invidx-segment — segment-tiered storage for long lists
+//! # invidx-segment — the one store: an in-place L0 plus sealed segments
 //!
 //! The paper's in-place engine updates long lists where they sit, which
 //! is ideal for incremental batches but accumulates fragmentation and
 //! relocation churn as lists grow (§1's "massive reorganization"
-//! trade-off). This crate adds the complementary design point as a
-//! first-class engine: an LSM-style tier of **immutable sealed
-//! segments** under the existing dual structure, which becomes the
-//! mutable **L0**.
+//! trade-off). This crate adds the complementary design point: an
+//! LSM-style tier of **immutable sealed segments** under the existing
+//! dual structure, which becomes the mutable **L0**. The two are one
+//! store: with no seal budget ([`invidx_core::EngineKind::InPlace`]) L0
+//! never seals and the store is exactly the paper's in-place index.
 //!
 //! * [`format`] — the write-once segment artifact: sorted term runs,
 //!   term index, CRC'd footer, block extents on the shared
@@ -17,10 +18,10 @@
 //!   fault points;
 //! * [`compact`] — the tiered, rate-limited, cooperative merge
 //!   scheduler;
-//! * [`durable`] — [`DurableSegmentedIndex`], the one segmented store:
+//! * [`durable`] — [`DurableSegmentedIndex`], the one store:
 //!   seal-on-budget L0 + merged reads behind the same `postings()`
-//!   interface; with a logged L0 also the manifest file, the
-//!   manifest/checkpoint lockstep and roll-forward recovery;
+//!   interface; with a logged L0 and a budget also the manifest file,
+//!   the manifest/checkpoint lockstep and roll-forward recovery;
 //! * [`store`] — its [`SegmentStats`] and the seal/merge writers.
 
 #![warn(missing_docs)]

@@ -209,8 +209,15 @@ fn compressed_segments_match_plain_twin() {
     }
 }
 
+/// `EngineKind::InPlace` is the store with no seal budget: however large
+/// L0 grows it never seals, and a forced seal is refused.
 #[test]
-fn in_place_engine_kind_is_rejected() {
-    let err = DurableSegmentedIndex::without_log(sparse_array(2, 10_000, 256), in_place_config());
-    assert!(err.is_err());
+fn in_place_engine_kind_never_seals() {
+    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 200_000, 256), in_place_config()).unwrap();
+    drive(&mut ix, 1..400, 40);
+    let stats = ix.stats();
+    assert_eq!((stats.seals, stats.segments, stats.generation), (0, 0, 0), "{stats:?}");
+    assert!(stats.l0_bytes > 4096, "L0 holds everything: {stats:?}");
+    assert!(ix.seal_now().is_err());
+    assert_eq!(ix.stats().segments, 0);
 }
