@@ -4,16 +4,14 @@
 //! `BlockPosting` knob, this ablation measures the *actual* codec layer:
 //! the same corpus is built twice — plain fixed-width postings vs
 //! bit-packed coding-block streams — and the same Zipf-seeded BM25 query
-//! stream replays against both at several block-cache budgets.
+//! stream replays against both.
 //!
 //! Three properties are asserted (CI runs this binary as a gate):
 //!
-//! * at **every** cache budget the compressed build answers the ranked
-//!   stream with strictly fewer device blocks read than the plain build —
-//!   compression must turn smaller streams into fewer block fetches, not
-//!   just smaller files (uncached, one read *op* per chunk survives either
-//!   way, but it covers fewer blocks; with a cache the op count drops too
-//!   because the same budget holds more of the hot set);
+//! * the compressed build answers the ranked stream with strictly fewer
+//!   device blocks read than the plain build — compression must turn
+//!   smaller streams into fewer block fetches, not just smaller files (one
+//!   read *op* per chunk survives either way, but it covers fewer blocks);
 //! * WAND early-terminated top-k is **bit-identical** to the exhaustive
 //!   scorer on every query of the stream (checked on both builds);
 //! * ranked results are **bit-identical across codecs** — the codec is a
@@ -49,9 +47,9 @@ fn corpus() -> CorpusParams {
     }
 }
 
-/// Build the engine with the given codec and cache budget, returning it
-/// with the long-list byte counters sampled across the build.
-fn build(codec: PostingsCodec, cache_blocks: usize) -> (DurableEngine, u64, u64) {
+/// Build the engine with the given codec, returning it with the long-list
+/// byte counters sampled across the build.
+fn build(codec: PostingsCodec) -> (DurableEngine, u64, u64) {
     let raw0 = invidx_obs::registry().counter(names::POSTINGS_BYTES_RAW).get();
     let stored0 = invidx_obs::registry().counter(names::POSTINGS_BYTES_STORED).get();
     let array = sparse_array(DISKS, BLOCKS_PER_DISK, BLOCK_SIZE);
@@ -61,8 +59,6 @@ fn build(codec: PostingsCodec, cache_blocks: usize) -> (DurableEngine, u64, u64)
         .block_postings(25)
         .policy(Policy::balanced())
         .materialize_buckets(false)
-        .cache_blocks(cache_blocks)
-        .cache_shards(4)
         .postings_codec(codec)
         .build()
         .expect("valid config");
@@ -113,73 +109,62 @@ fn main() {
     invidx_bench::init_metrics();
     let stream = query_stream(QUERIES, 11);
     let params = Bm25Params::default();
-    let total_blocks = DISKS as u64 * BLOCKS_PER_DISK;
-    let budgets: Vec<(u64, usize)> =
-        [0u64, 1, 5].iter().map(|&pct| (pct, (total_blocks * pct / 100) as usize)).collect();
 
     let mut rows = Vec::new();
-    // reads[codec-index][budget-index]
-    let mut reads = vec![Vec::new(); 2];
+    // Device blocks read by the ranked stream, per codec.
+    let mut reads = Vec::new();
     let mut plain_answers: Vec<Vec<(u32, u64)>> = Vec::new();
-    for (ci, codec) in [PostingsCodec::Plain, PostingsCodec::BitPacked].into_iter().enumerate() {
-        for (bi, &(pct, budget)) in budgets.iter().enumerate() {
-            let (engine, raw, stored) = build(codec, budget);
-            engine.index().inner().array().take_trace(); // drop the build trace
-            engine.index().inner().array().start_trace();
-            let answers: Vec<Vec<(u32, u64)>> = stream
-                .iter()
-                .map(|q| {
-                    let query = EngineQuery::Rank { text: q.clone(), k: TOP_K, params };
-                    bits(engine.execute(&query).expect("rank").hits().expect("hits output"))
-                })
-                .collect();
-            let trace = engine.index().inner().array().take_trace();
-            let device_reads = trace.ops.len() as u64;
-            let device_blocks: u64 = trace.ops.iter().map(|o| o.blocks).sum();
+    for codec in [PostingsCodec::Plain, PostingsCodec::BitPacked] {
+        let (engine, raw, stored) = build(codec);
+        engine.index().inner().array().take_trace(); // drop the build trace
+        engine.index().inner().array().start_trace();
+        let answers: Vec<Vec<(u32, u64)>> = stream
+            .iter()
+            .map(|q| {
+                let query = EngineQuery::Rank { text: q.clone(), k: TOP_K, params };
+                bits(engine.execute(&query).expect("rank").hits().expect("hits output"))
+            })
+            .collect();
+        let trace = engine.index().inner().array().take_trace();
+        let device_reads = trace.ops.len() as u64;
+        let device_blocks: u64 = trace.ops.iter().map(|o| o.blocks).sum();
 
-            // Gate: WAND must be bit-identical to the exhaustive scorer.
-            for (q, got) in stream.iter().zip(&answers) {
-                let brute = bits(&engine.rank_exhaustive(q, TOP_K, params).expect("exhaustive"));
-                assert_eq!(got, &brute, "WAND diverged from exhaustive on {q:?} ({codec})");
-            }
-            // Gate: the codec is a storage layout, not a scoring change.
-            if ci == 0 {
-                if bi == 0 {
-                    plain_answers = answers;
-                }
-            } else {
-                assert_eq!(
-                    answers, plain_answers,
-                    "ranked answers changed across codecs at budget {pct}%"
-                );
-            }
-            reads[ci].push(device_blocks);
-            invidx_obs::log_progress(
-                "ablation",
-                &format!(
-                    "{codec} @ {pct}%: {device_reads} device reads over \
-                     {device_blocks} blocks, {} KB raw -> {} KB stored",
-                    raw / 1024,
-                    stored / 1024
-                ),
-            );
-            rows.push(vec![
-                codec.to_string(),
-                format!("{pct}%"),
-                QUERIES.to_string(),
-                device_reads.to_string(),
-                device_blocks.to_string(),
-                format!("{:.3}", device_blocks as f64 / QUERIES as f64),
-                (raw / 1024).to_string(),
-                (stored / 1024).to_string(),
-                format!("{:.2}", raw as f64 / stored.max(1) as f64),
-            ]);
-            // Gate: compression must actually shrink the stored bytes.
-            if codec.is_compressed() {
-                assert!(stored < raw, "{codec}: stored {stored} B did not shrink below {raw} B");
-            } else {
-                assert_eq!(stored, raw, "plain stores postings verbatim");
-            }
+        // Gate: WAND must be bit-identical to the exhaustive scorer.
+        for (q, got) in stream.iter().zip(&answers) {
+            let brute = bits(&engine.rank_exhaustive(q, TOP_K, params).expect("exhaustive"));
+            assert_eq!(got, &brute, "WAND diverged from exhaustive on {q:?} ({codec})");
+        }
+        // Gate: the codec is a storage layout, not a scoring change.
+        if codec.is_compressed() {
+            assert_eq!(answers, plain_answers, "ranked answers changed across codecs");
+        } else {
+            plain_answers = answers;
+        }
+        reads.push(device_blocks);
+        invidx_obs::log_progress(
+            "ablation",
+            &format!(
+                "{codec}: {device_reads} device reads over {device_blocks} blocks, \
+                 {} KB raw -> {} KB stored",
+                raw / 1024,
+                stored / 1024
+            ),
+        );
+        rows.push(vec![
+            codec.to_string(),
+            QUERIES.to_string(),
+            device_reads.to_string(),
+            device_blocks.to_string(),
+            format!("{:.3}", device_blocks as f64 / QUERIES as f64),
+            (raw / 1024).to_string(),
+            (stored / 1024).to_string(),
+            format!("{:.2}", raw as f64 / stored.max(1) as f64),
+        ]);
+        // Gate: compression must actually shrink the stored bytes.
+        if codec.is_compressed() {
+            assert!(stored < raw, "{codec}: stored {stored} B did not shrink below {raw} B");
+        } else {
+            assert_eq!(stored, raw, "plain stores postings verbatim");
         }
     }
 
@@ -188,7 +173,6 @@ fn main() {
         title: "Postings codec vs device reads (BM25 Zipf query stream)".into(),
         headers: vec![
             "Codec".into(),
-            "Cache budget".into(),
             "Queries".into(),
             "Device reads".into(),
             "Device blocks".into(),
@@ -200,14 +184,11 @@ fn main() {
         rows,
     });
 
-    for (bi, (pct, _)) in budgets.iter().enumerate() {
-        assert!(
-            reads[1][bi] < reads[0][bi],
-            "compressed build must read strictly fewer device blocks at budget {pct}%: \
-             plain {} vs bitpacked {}",
-            reads[0][bi],
-            reads[1][bi]
-        );
-    }
+    assert!(
+        reads[1] < reads[0],
+        "compressed build must read strictly fewer device blocks: plain {} vs bitpacked {}",
+        reads[0],
+        reads[1]
+    );
     invidx_obs::log_progress("ablation", "compression+ranked gates passed");
 }

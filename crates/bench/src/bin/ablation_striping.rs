@@ -46,7 +46,7 @@ fn read_time(policy: Policy, postings: u32) -> (f64, u64) {
         start = end;
     }
     array.start_trace();
-    let got = store.read_list(&array, None, word).expect("read");
+    let got = store.read_list(&array, word).expect("read");
     assert_eq!(got.len(), postings as usize);
     let mut trace = array.take_trace();
     trace.end_batch();

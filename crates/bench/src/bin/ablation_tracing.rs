@@ -2,7 +2,7 @@
 //! thread-local span stack behind one relaxed atomic load per stage site
 //! (`trace_active()`), so the claim under test is "sampling off ≈ free,
 //! and even modest sampling is cheap". A closed-loop client drives the
-//! full admission → cache → engine → block-cache path in-process (no TCP,
+//! full admission → cache → engine path in-process (no TCP,
 //! so the measurement isolates the instrumented path itself) at three
 //! sampling rates:
 //!
@@ -55,9 +55,8 @@ fn tolerance() -> f64 {
 
 /// One serving stack at the given sampling rate, shared corpus text.
 fn build_frontend(docs: &[String], trace_sample: u32) -> Frontend<DurableEngine> {
-    let mut config = IndexConfig::small();
-    config.cache_blocks = 128;
-    let engine = DurableEngine::without_log(sparse_array(2, 200_000, 512), config).unwrap();
+    let engine =
+        DurableEngine::without_log(sparse_array(2, 200_000, 512), IndexConfig::small()).unwrap();
     let serve = ServeConfig::builder()
         .result_cache_capacity(256)
         .readers(2)
@@ -109,7 +108,7 @@ fn main() {
     let configs: [(&str, u32); 3] = [("off", 0), ("1/64", 64), ("all", 1)];
     let stacks: Vec<Frontend<DurableEngine>> =
         configs.iter().map(|&(_, rate)| build_frontend(&docs, rate)).collect();
-    // Warm each stack once (block cache residency, result cache fill) so
+    // Warm each stack once (result cache fill) so
     // the measured rounds compare steady states.
     for fe in &stacks {
         measure(fe, &queries, s.requests / 4);

@@ -6,8 +6,7 @@
 //! doc ids per block. This module makes the compression *real*: a chunk's
 //! data region becomes a stream of self-describing **coding blocks**, each
 //! covering up to `BlockPosting` postings, so the same chunk needs fewer
-//! device blocks to hold the same list — multiplying the effective block
-//! cache and cutting device bytes per query.
+//! device blocks to hold the same list — cutting device bytes per query.
 //!
 //! ## Stream layout
 //!

@@ -18,7 +18,6 @@
 //!    aborted", §1).
 
 use crate::bucket::BucketStore;
-use crate::cache::{BlockCache, CacheStats};
 use crate::codec::PostingsCodec;
 use crate::directory::Directory;
 use crate::longlist::{LongConfig, LongStats, LongStore};
@@ -28,7 +27,6 @@ use crate::postings::PostingList;
 use crate::types::{DocId, IndexError, Result, WordId};
 use invidx_disk::{DiskArray, IoOp, OpKind, Payload};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Which storage engine serves stored postings.
 ///
@@ -64,9 +62,9 @@ impl EngineKind {
 }
 
 /// Index-level configuration (the tunables of the paper's Table 4, plus
-/// the runtime knobs that grew around them: ingest parallelism and the
-/// block cache). Construct via [`IndexConfig::builder`], which validates
-/// at `build()`.
+/// the runtime knobs that grew around them: ingest parallelism, the
+/// storage engine and the postings codec). Construct via
+/// [`IndexConfig::builder`], which validates at `build()`.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexConfig {
     /// Number of buckets (`Buckets`).
@@ -85,10 +83,6 @@ pub struct IndexConfig {
     /// Worker threads for batch inversion and the captured parallel apply
     /// (1 = fully sequential).
     pub ingest_threads: usize,
-    /// Block-cache budget in device blocks; 0 disables the cache.
-    pub cache_blocks: usize,
-    /// Block-cache shard count (clamped to the budget when smaller).
-    pub cache_shards: usize,
     /// Storage engine: in-place (the paper) or segment-tiered.
     pub engine: EngineKind,
     /// On-disk encoding of long-list (and sealed-segment) postings.
@@ -121,8 +115,6 @@ impl IndexConfig {
             policy: Policy::balanced(),
             materialize_buckets: true,
             ingest_threads: 1,
-            cache_blocks: 0,
-            cache_shards: 8,
             engine: EngineKind::InPlace,
             codec: PostingsCodec::Plain,
         }
@@ -137,8 +129,6 @@ impl IndexConfig {
             policy: Policy::balanced(),
             materialize_buckets: true,
             ingest_threads: 1,
-            cache_blocks: 0,
-            cache_shards: 8,
             engine: EngineKind::InPlace,
             codec: PostingsCodec::Plain,
         }
@@ -165,11 +155,6 @@ impl IndexConfig {
         if self.ingest_threads == 0 {
             return Err(IndexError::InvalidConfig(
                 "ingest_threads must be at least 1 (1 = sequential)".into(),
-            ));
-        }
-        if self.cache_blocks > 0 && self.cache_shards == 0 {
-            return Err(IndexError::InvalidConfig(
-                "cache_shards must be positive when the cache is enabled".into(),
             ));
         }
         if let EngineKind::Segmented { l0_budget, fanout } = self.engine {
@@ -208,8 +193,8 @@ impl IndexConfig {
 /// Builder for [`IndexConfig`]; obtain via [`IndexConfig::builder`].
 ///
 /// Every setter is infallible; [`Self::build`] runs the shape validation
-/// (positive bucket count, positive ingest threads, coherent cache
-/// settings) so misconfiguration surfaces at construction, not first use.
+/// (positive bucket count, positive ingest threads, a coherent segmented
+/// engine) so misconfiguration surfaces at construction, not first use.
 /// Device-geometry checks still run in [`DualIndex::create`]/
 /// [`DualIndex::open`], which know the block size.
 #[derive(Debug, Clone)]
@@ -251,18 +236,6 @@ impl IndexConfigBuilder {
     /// Worker threads for batch inversion and the captured parallel apply.
     pub fn ingest_threads(mut self, threads: usize) -> Self {
         self.config.ingest_threads = threads;
-        self
-    }
-
-    /// Block-cache budget in device blocks (0 disables the cache).
-    pub fn cache_blocks(mut self, blocks: usize) -> Self {
-        self.config.cache_blocks = blocks;
-        self
-    }
-
-    /// Block-cache shard count.
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.config.cache_shards = shards;
         self
     }
 
@@ -395,24 +368,6 @@ pub struct DualIndex {
     bucket_extents: Vec<(u16, u64, u64)>,
     /// Live on-disk directory extent.
     dir_extent: Option<(u16, u64, u64)>,
-    /// Sharded block cache over long-list chunks and bucket stripes
-    /// (`None` when `config.cache_blocks == 0`). Registered as the
-    /// array's write observer so every committed write invalidates
-    /// exactly the blocks it touched.
-    cache: Option<Arc<BlockCache>>,
-}
-
-/// Build the block cache described by `config` (if any) and register it
-/// as the array's write observer.
-fn attach_cache(array: &mut DiskArray, config: &IndexConfig) -> Option<Arc<BlockCache>> {
-    if config.cache_blocks == 0 {
-        array.set_write_observer(None);
-        return None;
-    }
-    let cache =
-        Arc::new(BlockCache::new(config.cache_blocks, config.cache_shards, array.block_size()));
-    array.set_write_observer(Some(cache.clone()));
-    Some(cache)
 }
 
 impl DualIndex {
@@ -428,7 +383,6 @@ impl DualIndex {
             policy: config.policy,
             codec: config.codec,
         });
-        let cache = attach_cache(&mut array, &config);
         Ok(Self {
             config,
             array,
@@ -439,38 +393,12 @@ impl DualIndex {
             batch_no: 0,
             bucket_extents: Vec::new(),
             dir_extent: None,
-            cache,
         })
     }
 
     /// The configured ingest worker-pool size.
     pub fn ingest_threads(&self) -> usize {
         self.config.ingest_threads
-    }
-
-    /// Block-cache statistics, or `None` when the cache is disabled.
-    pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// The cache to consult for the current read, if any. Capture mode
-    /// buffers writes in the array's overlay, which a cache hit would
-    /// bypass — so reads issued inside a capture window go straight to
-    /// the array (which consults the overlay itself).
-    fn query_cache(&self) -> Option<&BlockCache> {
-        if self.array.capture_active() {
-            None
-        } else {
-            self.cache.as_deref()
-        }
-    }
-
-    /// The block cache as layered stores should consult it: `None` when
-    /// disabled or inside a capture window. The segment-tiered read path
-    /// charges its reads through this so device-byte accounting matches
-    /// the in-place engine's.
-    pub fn block_cache(&self) -> Option<&BlockCache> {
-        self.query_cache()
     }
 
     /// Is this document logically deleted (pending sweep)?
@@ -530,8 +458,8 @@ impl DualIndex {
 
     /// The disk array as shared storage for sidecar stores that co-locate
     /// their extents with the index's (the IR layer's document store).
-    /// Sidecar writes go through [`DiskArray::write_op`] and therefore
-    /// notify the block cache like any index write.
+    /// Sidecar writes go through [`DiskArray::write_op`] and are traced
+    /// like any index write.
     pub fn sidecar_array(&mut self) -> &mut DiskArray {
         &mut self.array
     }
@@ -809,13 +737,6 @@ impl DualIndex {
                     blocks: stripe_blocks,
                     payload: Payload::Bucket,
                 });
-                // No physical write means no write-observer notification:
-                // drop any frames a previous tenant of this extent left in
-                // the cache, so a later bucket-read charge cannot hit on
-                // stale bytes.
-                if let Some(cache) = &self.cache {
-                    cache.invalidate(d, start, stripe_blocks);
-                }
             }
             new_bucket_extents.push((d, start, stripe_blocks));
         }
@@ -910,49 +831,29 @@ impl DualIndex {
         Some((disk, stripe_start + (b / n) as u64 * bucket_blocks, bucket_blocks))
     }
 
-    /// Charge one bucket read against the disk model, answering from the
-    /// block cache when the bucket's blocks are resident. Live queries
-    /// never read buckets from disk (they are memory-resident), so this
-    /// models the paper's one-read-per-bucket query cost: on a cache hit
-    /// nothing is charged and `Ok(true)` is returned; on a miss (or with
-    /// the cache disabled) a read op for the bucket's region is recorded
-    /// and `Ok(false)` is returned.
+    /// Charge one bucket read against the disk model. Live queries never
+    /// read buckets from disk (they are memory-resident), so this models
+    /// the paper's one-read-per-bucket query cost: a read op for the
+    /// bucket's region is recorded in the trace, with no device transfer.
     ///
     /// Uses the real stripe extent of the current generation when one
     /// exists, falling back to a synthetic fixed-slot address before the
     /// first flush so exercisers always have an op to time.
-    pub fn charge_bucket_read(&self, word: WordId) -> Result<bool> {
+    pub fn charge_bucket_read(&self, word: WordId) -> Result<()> {
         let bucket_blocks = self.config.bucket_blocks();
         let (disk, start, blocks) = self.bucket_extent_of(word).unwrap_or_else(|| {
             let n = self.array.num_disks() as usize;
             let b = self.buckets.bucket_of(word);
             ((b % n) as u16, (b / n) as u64 * bucket_blocks, bucket_blocks)
         });
-        let op = IoOp { kind: OpKind::Read, disk, start, blocks, payload: Payload::Bucket };
-        if let Some(cache) = self.query_cache() {
-            let bs = self.array.block_size();
-            let mut buf = vec![0u8; blocks as usize * bs];
-            let mut guard = cache.pin_scope();
-            let hit = {
-                let _stage = invidx_obs::trace::stage("block_cache");
-                invidx_obs::trace::add_blocks(blocks);
-                let hit = cache.read_pinned(disk, start, blocks, &mut buf, &mut guard);
-                if hit {
-                    invidx_obs::trace::add_bytes(buf.len() as u64);
-                }
-                hit
-            };
-            if hit {
-                return Ok(true);
-            }
-            self.array.read_op(op, &mut buf)?;
-            cache.insert_pinned(disk, start, blocks, &buf, &mut guard);
-        } else {
-            // Cache off: the historical accounting-only charge (a trace
-            // op with no device transfer).
-            self.array.trace_push(op);
-        }
-        Ok(false)
+        self.array.trace_push(IoOp {
+            kind: OpKind::Read,
+            disk,
+            start,
+            blocks,
+            payload: Payload::Bucket,
+        });
+        Ok(())
     }
 
     /// The full posting list for a word: stored postings (long list or
@@ -963,7 +864,7 @@ impl DualIndex {
     /// interfaces, so concurrent queries never serialize on the index.
     pub fn postings(&self, word: WordId) -> Result<PostingList> {
         let mut list = if self.longs.contains(word) {
-            self.longs.read_list(&self.array, self.query_cache(), word)?
+            self.longs.read_list(&self.array, word)?
         } else {
             self.buckets.get(word).cloned().unwrap_or_default()
         };
@@ -984,7 +885,7 @@ impl DualIndex {
     /// deleted-but-unswept postings).
     pub fn stored_postings(&self, word: WordId) -> Result<PostingList> {
         if self.longs.contains(word) {
-            self.longs.read_list(&self.array, self.query_cache(), word)
+            self.longs.read_list(&self.array, word)
         } else {
             Ok(self.buckets.get(word).cloned().unwrap_or_default())
         }
@@ -1034,7 +935,7 @@ impl DualIndex {
 
         // Long lists: read, filter, rewrite compacted.
         for word in self.longs.directory().words() {
-            let list = self.longs.read_list(&self.array, self.query_cache(), word)?;
+            let list = self.longs.read_list(&self.array, word)?;
             let mut kept = list.clone();
             kept.retain(|d| !deleted.contains(&d));
             if kept.len() == list.len() {
@@ -1170,12 +1071,8 @@ impl DualIndex {
             chunks_after: 0,
             blocks_freed: 0,
         };
-        // Field projections rather than `query_cache()`: `longs` and
-        // `array` are borrowed mutably below, and the borrows are disjoint
-        // only when spelled out.
-        let cache = if self.array.capture_active() { None } else { self.cache.as_deref() };
         for word in self.longs.directory().words() {
-            let before = self.longs.compact_word(&mut self.array, cache, word)?;
+            let before = self.longs.compact_word(&mut self.array, word)?;
             if before > 1 {
                 report.lists_rewritten += 1;
             }
@@ -1436,9 +1333,6 @@ impl DualIndex {
             mem.set_floor(DocId((doc_ceiling - 1) as u32));
         }
 
-        // A fresh cache on every open: recovery (and any restart) starts
-        // cold rather than trusting frames from a previous incarnation.
-        let cache = attach_cache(&mut array, &config);
         Ok(Self {
             config,
             array,
@@ -1449,7 +1343,6 @@ impl DualIndex {
             batch_no,
             bucket_extents,
             dir_extent,
-            cache,
         })
     }
 
@@ -1531,10 +1424,6 @@ impl DualIndex {
         if snap.doc_ceiling > 0 {
             mem.set_floor(DocId((snap.doc_ceiling - 1) as u32));
         }
-        // Recovery always drops the cache: WAL replay rewrites chunks the
-        // checkpoint's directory still references, and a warm frame from
-        // before the crash must never answer a post-recovery read.
-        let cache = attach_cache(&mut array, &config);
         Ok(Self {
             config,
             array,
@@ -1547,7 +1436,6 @@ impl DualIndex {
             // devices; these stay empty until a legacy flush_batch runs.
             bucket_extents: Vec::new(),
             dir_extent: None,
-            cache,
         })
     }
 }
@@ -2145,5 +2033,41 @@ mod tests {
         ix.flush_batch().unwrap();
         assert!(ix.insert_document(DocId(10), [WordId(1)]).is_err());
         assert!(ix.insert_document(DocId(11), [WordId(1)]).is_ok());
+    }
+
+    /// Regression: `read_cost` counts device reads and must stay 0 for a word
+    /// whose postings are still in the in-memory batch, while `postings` and
+    /// `doc_frequency` already include that pending state.
+    #[test]
+    fn mem_only_word_has_zero_read_cost_but_live_postings() {
+        let array = sparse_array(2, 6_000, 256);
+        let config = IndexConfig::builder()
+            .num_buckets(16)
+            .bucket_capacity_units(40)
+            .block_postings(8)
+            .policy(Policy::balanced())
+            .materialize_buckets(true)
+            .ingest_threads(1)
+            .build()
+            .expect("valid config");
+        let mut ix = DualIndex::create(array, config).expect("create");
+        ix.insert_document(DocId(1), [WordId(99)]).expect("insert");
+        ix.insert_document(DocId(2), [WordId(99)]).expect("insert");
+        assert_eq!(ix.read_cost(WordId(99)), 0, "unflushed word costs no device reads");
+        assert_eq!(ix.doc_frequency(WordId(99)), 2, "doc_frequency includes the mem batch");
+        assert_eq!(ix.postings(WordId(99)).expect("read").len(), 2);
+        ix.flush_batch().expect("flush");
+        // Flushed to a bucket: still short, and doc_frequency is unchanged.
+        assert_eq!(ix.doc_frequency(WordId(99)), 2);
+        assert_eq!(ix.postings(WordId(99)).expect("read").len(), 2);
+    }
+
+    #[test]
+    fn config_builder_validates_at_build() {
+        assert!(IndexConfig::builder().build().is_ok());
+        assert!(IndexConfig::builder().num_buckets(0).build().is_err());
+        assert!(IndexConfig::builder().ingest_threads(0).build().is_err());
+        let c = IndexConfig::builder().ingest_threads(2).build().expect("valid config");
+        assert_eq!(c.ingest_threads, 2);
     }
 }

@@ -36,8 +36,6 @@
 //! * [`directory`] — long-list chunk metadata + the RELEASE list;
 //! * [`policy`] — the `Style`/`Limit`/`Alloc` policy space (paper Table 2);
 //! * [`longlist`] — the Figure 2 update algorithm over a disk array;
-//! * [`cache`] — the sharded block cache between the read path and the
-//!   disk array (CLOCK eviction, pinning, write-through invalidation);
 //! * [`index`] — [`index::DualIndex`]: updates, queries, deletion
 //!   (filter + sweep), shadow-paged flush, and crash recovery;
 //! * [`epoch`] — the batch-epoch counter the serving layer names snapshots by.
@@ -46,7 +44,6 @@
 #![deny(unsafe_code)]
 
 pub mod bucket;
-pub mod cache;
 pub mod codec;
 pub mod directory;
 pub mod epoch;
@@ -59,7 +56,6 @@ pub mod postings;
 pub mod types;
 
 pub use bucket::{Bucket, BucketStore, InsertOutcome};
-pub use cache::{BlockCache, CacheStats, PinGuard};
 pub use codec::PostingsCodec;
 pub use directory::{ChunkRef, Directory, LongEntry};
 pub use epoch::EpochCounter;

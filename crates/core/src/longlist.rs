@@ -26,7 +26,6 @@
 //! needed. `BlockPosting` "implicitly models the efficiency of the
 //! compression algorithm applied to long lists" (§4.4).
 
-use crate::cache::BlockCache;
 use crate::codec::{self, PostingsCodec};
 use crate::directory::{ChunkRef, Directory, LongEntry};
 use crate::policy::{Limit, Policy, Style};
@@ -431,7 +430,7 @@ impl LongStore {
             .get(word)
             .map(|e| e.chunks.iter().map(|c| (c.disk, c.start, c.blocks)).collect());
         let mut combined = if let Some(old_chunks) = old_chunks {
-            let old = self.read_list(array, None, word)?;
+            let old = self.read_list(array, word)?;
             for (disk, start, blocks) in old_chunks {
                 self.directory.push_release(disk, start, blocks);
             }
@@ -492,30 +491,16 @@ impl LongStore {
     /// Read a word's complete long list: one read operation per chunk
     /// (covering its data blocks), concatenated in chunk order.
     ///
-    /// With a [`BlockCache`], each chunk is first looked up in the cache:
-    /// a chunk whose blocks are all resident costs no device read (no
-    /// trace op, no `read_ops` increment — the paper's read-cost metrics
-    /// count physical reads only); on a miss the read is charged exactly
-    /// as in the uncached path and the bytes are inserted pinned. One pin
-    /// scope spans the whole list, so a multi-chunk read cannot lose
-    /// earlier chunks to eviction midway.
-    ///
     /// `&self`: this is the query path; reads go through
     /// [`DiskArray::read_op`]'s shared-access interface and the op counter
     /// is atomic, so concurrent readers proceed without exclusive locks.
-    pub fn read_list(
-        &self,
-        array: &DiskArray,
-        cache: Option<&BlockCache>,
-        word: WordId,
-    ) -> Result<PostingList> {
+    pub fn read_list(&self, array: &DiskArray, word: WordId) -> Result<PostingList> {
         let bp = self.config.block_postings;
         let bs = array.block_size();
         let chunks: &[ChunkRef] = match self.directory.get(word) {
             Some(e) => &e.chunks,
             None => return Ok(PostingList::new()),
         };
-        let mut guard = cache.map(|c| c.pin_scope());
         let mut docs: Vec<DocId> = Vec::new();
         let compressed = self.config.codec.is_compressed();
         for c in chunks {
@@ -530,35 +515,16 @@ impl LongStore {
                 c.postings.div_ceil(bp)
             };
             let mut buf = vec![0u8; data_blocks as usize * bs];
-            let cached = {
-                let _stage = invidx_obs::trace::stage("block_cache");
-                invidx_obs::trace::add_blocks(data_blocks);
-                let hit = match (cache, guard.as_mut()) {
-                    (Some(cache), Some(g)) => {
-                        cache.read_pinned(c.disk, c.start, data_blocks, &mut buf, g)
-                    }
-                    _ => false,
-                };
-                if hit {
-                    invidx_obs::trace::add_bytes(buf.len() as u64);
-                }
-                hit
+            let op = IoOp {
+                kind: OpKind::Read,
+                disk: c.disk,
+                start: c.start,
+                blocks: data_blocks,
+                payload: Payload::LongList { word: word.0, postings: c.postings },
             };
-            if !cached {
-                let op = IoOp {
-                    kind: OpKind::Read,
-                    disk: c.disk,
-                    start: c.start,
-                    blocks: data_blocks,
-                    payload: Payload::LongList { word: word.0, postings: c.postings },
-                };
-                array.read_op(op, &mut buf)?;
-                self.read_ops.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                invidx_obs::counter!(invidx_obs::names::LONG_READ_OPS).inc();
-                if let (Some(cache), Some(g)) = (cache, guard.as_mut()) {
-                    cache.insert_pinned(c.disk, c.start, data_blocks, &buf, g);
-                }
-            }
+            array.read_op(op, &mut buf)?;
+            self.read_ops.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            invidx_obs::counter!(invidx_obs::names::LONG_READ_OPS).inc();
             if compressed {
                 docs.extend(codec::decode_stream(&buf, c.postings)?);
             } else {
@@ -593,12 +559,7 @@ impl LongStore {
     /// Old chunks go on the RELEASE list. Returns the chunk count before
     /// the rewrite; a no-op (returning 1) when the list is already one
     /// chunk with no more reserved slack than the policy would grant.
-    pub fn compact_word(
-        &mut self,
-        array: &mut DiskArray,
-        cache: Option<&BlockCache>,
-        word: WordId,
-    ) -> Result<usize> {
+    pub fn compact_word(&mut self, array: &mut DiskArray, word: WordId) -> Result<usize> {
         let bp = self.config.block_postings;
         let Some(entry) = self.directory.get(word) else {
             return Ok(0);
@@ -610,7 +571,7 @@ impl LongStore {
         }
         let old: Vec<(u16, u64, u64)> =
             entry.chunks.iter().map(|c| (c.disk, c.start, c.blocks)).collect();
-        let docs = self.read_list(array, cache, word)?;
+        let docs = self.read_list(array, word)?;
         for (d, s, b) in old {
             self.directory.push_release(d, s, b);
         }
@@ -663,7 +624,7 @@ mod tests {
             s.append(&mut a, w, &pl(7..45)).unwrap();
             s.append(&mut a, w, &pl(45..48)).unwrap();
             s.append(&mut a, w, &pl(48..120)).unwrap();
-            let got = s.read_list(&a, None, w).unwrap();
+            let got = s.read_list(&a, w).unwrap();
             assert_eq!(got, pl(0..120), "policy {policy}");
         }
     }
@@ -679,7 +640,7 @@ mod tests {
                 s.append(&mut a, WordId(w), &pl(100..(130 + w as u32))).unwrap();
             }
             for w in 0..20u64 {
-                let got = s.read_list(&a, None, WordId(w)).unwrap();
+                let got = s.read_list(&a, WordId(w)).unwrap();
                 assert_eq!(got.len(), (5 + w as usize) + (30 + w as usize), "policy {policy}");
             }
         }
@@ -736,7 +697,7 @@ mod tests {
         let entry = s.directory().get(w).unwrap();
         assert_eq!(entry.num_chunks(), 1);
         assert_eq!(s.stats().in_place_updates, 1);
-        assert_eq!(s.read_list(&a, None, w).unwrap(), pl(0..10));
+        assert_eq!(s.read_list(&a, w).unwrap(), pl(0..10));
     }
 
     #[test]
@@ -752,7 +713,7 @@ mod tests {
         assert_eq!(entry.chunks[0].postings, 7);
         assert_eq!(entry.chunks[1].postings, 4);
         assert_eq!(s.stats().in_place_updates, 0);
-        assert_eq!(s.read_list(&a, None, w).unwrap(), pl(0..11));
+        assert_eq!(s.read_list(&a, w).unwrap(), pl(0..11));
     }
 
     #[test]
@@ -767,7 +728,7 @@ mod tests {
         assert_eq!(s.directory().get(w).unwrap().num_chunks(), 1);
         assert_eq!(s.stats().in_place_updates, 1);
         assert_eq!(s.stats().in_place_fraction(), 1.0);
-        assert_eq!(s.read_list(&a, None, w).unwrap(), pl(0..20));
+        assert_eq!(s.read_list(&a, w).unwrap(), pl(0..20));
     }
 
     #[test]
@@ -840,7 +801,7 @@ mod tests {
     #[test]
     fn read_absent_word_is_empty() {
         let (s, a) = store(Policy::balanced());
-        assert!(s.read_list(&a, None, WordId(404)).unwrap().is_empty());
+        assert!(s.read_list(&a, WordId(404)).unwrap().is_empty());
     }
 
     #[test]
@@ -875,7 +836,7 @@ mod tests {
                 s.append(&mut a, w, &pl(7..45)).unwrap();
                 s.append(&mut a, w, &pl(45..48)).unwrap();
                 s.append(&mut a, w, &pl(48..120)).unwrap();
-                let got = s.read_list(&a, None, w).unwrap();
+                let got = s.read_list(&a, w).unwrap();
                 assert_eq!(got, pl(0..120), "{codec} under policy {policy}");
             }
         }
@@ -916,7 +877,7 @@ mod tests {
         c.append(&mut ca, WordId(1), &pl(0..500)).unwrap();
         let blocks_read = |s: &LongStore, a: &mut DiskArray| {
             a.start_trace();
-            s.read_list(a, None, WordId(1)).unwrap();
+            s.read_list(a, WordId(1)).unwrap();
             a.take_trace().ops.iter().map(|op| op.blocks).sum::<u64>()
         };
         let plain_blocks = blocks_read(&p, &mut pa);
@@ -943,7 +904,7 @@ mod tests {
             let chunk = &s.directory().get(w).unwrap().chunks[0];
             assert_eq!(chunk.postings, 15);
             assert!(chunk.bytes > bytes_before);
-            assert_eq!(s.read_list(&a, None, w).unwrap(), pl(0..15));
+            assert_eq!(s.read_list(&a, w).unwrap(), pl(0..15));
             // Out-of-order appends are still detected through the codec.
             assert!(matches!(
                 s.append(&mut a, w, &pl(3..5)),
@@ -960,12 +921,12 @@ mod tests {
             s.append(&mut a, w, &pl(i * 30..(i + 1) * 30)).unwrap();
         }
         assert_eq!(s.directory().get(w).unwrap().num_chunks(), 5);
-        assert_eq!(s.compact_word(&mut a, None, w).unwrap(), 5);
+        assert_eq!(s.compact_word(&mut a, w).unwrap(), 5);
         let entry = s.directory().get(w).unwrap();
         assert_eq!(entry.num_chunks(), 1);
         assert!(entry.chunks[0].bytes > 0);
         s.free_released(&mut a).unwrap();
-        assert_eq!(s.read_list(&a, None, w).unwrap(), pl(0..150));
+        assert_eq!(s.read_list(&a, w).unwrap(), pl(0..150));
     }
 
     #[test]

@@ -193,7 +193,7 @@ proptest! {
             store.free_released(&mut array).expect("release");
         }
         for (&word, docs) in &model {
-            let got = store.read_list(&array, None, WordId(word)).expect("read");
+            let got = store.read_list(&array, WordId(word)).expect("read");
             prop_assert_eq!(got.docs(), docs.as_slice());
             // Whole style: exactly one chunk per word, always.
             if matches!(policy.style, Style::Whole) {

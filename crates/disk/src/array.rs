@@ -13,20 +13,6 @@ use crate::error::{DiskError, Result};
 use crate::freelist::ExtentAllocator;
 use crate::trace::{IoOp, IoTrace};
 use parking_lot::Mutex;
-use std::sync::Arc;
-
-/// Observer notified when bytes *land on a device* — the hook a block
-/// cache uses for write-through invalidation. Sequential writes notify
-/// immediately; writes buffered inside a capture window notify only at
-/// [`DiskArray::end_capture`], after the buffered bytes are applied. That
-/// deferral is the commit-point rule: a snapshot reader at epoch E never
-/// has cached blocks invalidated (and re-read) with bytes from batch E+1
-/// before that batch commits.
-pub trait WriteObserver: Send + Sync {
-    /// `blocks` device blocks starting at `start` on `disk` now hold new
-    /// bytes.
-    fn wrote(&self, disk: u16, start: u64, blocks: u64);
-}
 
 /// One disk: a block device plus its free-space allocator.
 pub struct Disk {
@@ -54,8 +40,6 @@ pub struct DiskArray {
     /// When set, writes are buffered per disk instead of hitting devices —
     /// the parallel batch-apply window (see [`Self::begin_capture`]).
     capture: Mutex<Option<CaptureState>>,
-    /// Invalidation hook for a block cache layered above this array.
-    observer: Option<Arc<dyn WriteObserver>>,
 }
 
 /// Deferred-execution state for one capture window.
@@ -116,27 +100,6 @@ impl DiskArray {
             block_size,
             deferred: None,
             capture: Mutex::new(None),
-            observer: None,
-        }
-    }
-
-    /// Register (or clear) the write observer. At most one observer is
-    /// supported; registering replaces any previous one.
-    pub fn set_write_observer(&mut self, observer: Option<Arc<dyn WriteObserver>>) {
-        self.observer = observer;
-    }
-
-    /// True while a capture window is open. Readers that overlay cached
-    /// state above this array must bypass their cache while this holds:
-    /// capture-mode reads are answered from the pending-write overlay,
-    /// which a cache hit would silently skip.
-    pub fn capture_active(&self) -> bool {
-        self.capture.lock().is_some()
-    }
-
-    fn notify_wrote(&self, disk: u16, start: u64, blocks: u64) {
-        if let Some(obs) = &self.observer {
-            obs.wrote(disk, start, blocks);
         }
     }
 
@@ -294,7 +257,6 @@ impl DiskArray {
             }
         }
         self.disk_mut(op.disk)?.device.write(op.start, data)?;
-        self.notify_wrote(op.disk, op.start, op.blocks);
         self.trace_push(op);
         Ok(())
     }
@@ -368,16 +330,6 @@ impl DiskArray {
             .iter()
             .map(|w| (w.len() as u64, w.iter().map(|(_, b, _)| b).sum()))
             .collect();
-        // Collect written extents now; the buffers are drained by the
-        // workers below. Observers are notified only after every write has
-        // landed — the batch's commit point.
-        let written: Vec<(u16, u64, u64)> = pending
-            .iter()
-            .enumerate()
-            .flat_map(|(disk, w)| {
-                w.iter().map(move |&(start, blocks, _)| (disk as u16, start, blocks))
-            })
-            .collect();
         let mut work: Vec<(&mut Disk, PendingWrites)> =
             self.disks.iter_mut().zip(pending).collect();
         let groups = threads.clamp(1, work.len().max(1));
@@ -408,9 +360,6 @@ impl DiskArray {
         for r in results {
             r?;
         }
-        for (disk, start, blocks) in written {
-            self.notify_wrote(disk, start, blocks);
-        }
         for op in plan {
             self.trace_push(op);
         }
@@ -423,14 +372,10 @@ impl DiskArray {
         self.disk_ref(disk)?.device.read(start, buf)
     }
 
-    /// Write without recording a trace operation. Still notifies the
-    /// write observer: untraced writes (superblock commits, checkpoint
-    /// restores) change device bytes and must invalidate caches.
+    /// Write without recording a trace operation (superblock commits,
+    /// checkpoint restores).
     pub fn write_untraced(&mut self, disk: u16, start: u64, data: &[u8]) -> Result<()> {
-        let blocks = (data.len() / self.block_size) as u64;
-        self.disk_mut(disk)?.device.write(start, data)?;
-        self.notify_wrote(disk, start, blocks.max(1));
-        Ok(())
+        self.disk_mut(disk)?.device.write(start, data)
     }
 
     /// Flush all devices.

@@ -30,7 +30,7 @@ pub mod freelist;
 pub mod model;
 pub mod trace;
 
-pub use array::{sparse_array, Disk, DiskArray, WriteObserver};
+pub use array::{sparse_array, Disk, DiskArray};
 pub use block::{BlockDevice, FileDevice, MemDevice, SparseDevice};
 pub use buddy::BuddyAllocator;
 pub use error::{DiskError, Result};

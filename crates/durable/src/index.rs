@@ -617,11 +617,6 @@ impl DurableIndex {
         &self.injector
     }
 
-    /// Block-cache counters of the underlying index, if configured.
-    pub fn cache_stats(&self) -> Option<invidx_core::cache::CacheStats> {
-        self.inner.cache_stats()
-    }
-
     /// Borrow the underlying index (queries, statistics).
     pub fn inner(&self) -> &DualIndex {
         &self.inner

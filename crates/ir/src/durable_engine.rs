@@ -518,12 +518,6 @@ impl DurableEngine {
         self.core.total_docs
     }
 
-    /// Block-cache counters, if the index was configured with a cache
-    /// (`IndexConfig::cache_blocks > 0`).
-    pub fn cache_stats(&self) -> Option<invidx_core::cache::CacheStats> {
-        self.store.l0().cache_stats()
-    }
-
     /// Distinct words interned so far.
     pub fn vocabulary_size(&self) -> usize {
         self.core.vocab.len()

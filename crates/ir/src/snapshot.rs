@@ -4,9 +4,8 @@
 //! a fully materialized copy of the deletion-filtered posting lists, the
 //! stored document texts, and the vocabulary, behind `Arc`s so readers
 //! share the bulk of the data across epochs. Queries against a snapshot
-//! never touch the disk model or the block cache — all I/O (and its
-//! block-cache/disk accounting) happens once, at materialization time,
-//! inside the writer's commit path.
+//! never touch the disk model — all I/O (and its disk accounting) happens
+//! once, at materialization time, inside the writer's commit path.
 //!
 //! Materialization is incremental: [`crate::engine::EngineCore`] tracks
 //! the words whose lists changed since the last snapshot (every intern
@@ -124,8 +123,8 @@ impl ReadContext for EngineSnapshot {
 /// and `Arc`-share everything else. With `prev = None`, or after a
 /// conservative invalidation (`dirty_all`), every non-empty list is
 /// re-read. Either way the reads go through the index's normal
-/// [`PostingSource`] path, so block-cache counters and `block_cache` /
-/// `disk` trace stages charge here, at publish time, not on queries.
+/// [`PostingSource`] path, so `disk` trace stages charge here, at publish
+/// time, not on queries.
 pub(crate) fn materialize<S: PostingSource + ?Sized>(
     core: &mut EngineCore,
     index: &S,

@@ -113,22 +113,6 @@ pub const RECOVERY_TRUNCATED_BYTES: &str = "recovery_truncated_bytes_total";
 /// Recovery runs that found and used a checkpoint.
 pub const RECOVERY_OPENS: &str = "recovery_opens_total";
 
-/// Block-cache lookups where every block of the chunk was resident (no
-/// device read charged).
-pub const CACHE_HITS: &str = "block_cache_hits_total";
-/// Block-cache lookups that fell through to a full device read.
-pub const CACHE_MISSES: &str = "block_cache_misses_total";
-/// Frames evicted by CLOCK under budget pressure.
-pub const CACHE_EVICTIONS: &str = "block_cache_evictions_total";
-/// Inserts skipped because every candidate frame was pinned.
-pub const CACHE_BYPASSES: &str = "block_cache_bypasses_total";
-/// Resident blocks invalidated by write-through notifications.
-pub const CACHE_INVALIDATIONS: &str = "block_cache_invalidations_total";
-/// Bytes currently resident in the block cache (gauge).
-pub const CACHE_BYTES_RESIDENT: &str = "block_cache_bytes_resident";
-/// Highest simultaneous pinned-frame count observed (gauge).
-pub const CACHE_PINNED_HIGH_WATER: &str = "block_cache_pinned_high_water";
-
 /// Queries executed by the serving layer (cache hits included).
 pub const SERVE_QUERIES: &str = "serve_queries_total";
 /// Result-cache lookups that returned a current-epoch entry.

@@ -7,7 +7,7 @@
 //! instrumentation sites anywhere below ([`stage`], [`add_bytes`],
 //! [`add_blocks`], [`add_items`]) attach spans and per-stage byte/block
 //! counts to whatever context is installed — no signature threading
-//! through the engine, long-list store, block cache, or disk layers.
+//! through the engine, long-list store, or disk layers.
 //!
 //! The cost model, in order of how often each path runs:
 //!
@@ -33,8 +33,7 @@ use std::time::Instant;
 /// One node of a span tree.
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
-    /// Stage name (`"queue"`, `"cache"`, `"engine"`, `"block_cache"`,
-    /// `"disk"`, ...).
+    /// Stage name (`"queue"`, `"cache"`, `"engine"`, `"disk"`, ...).
     pub name: &'static str,
     /// Index of the parent span in [`TraceCtx::spans`]; `-1` for the root.
     pub parent: i64,

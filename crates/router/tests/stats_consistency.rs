@@ -63,9 +63,6 @@ fn summed(router: &Router<DurableEngine>) -> ServeStats {
         sum.shed += s.shed;
         sum.timeouts += s.timeouts;
         sum.batches += s.batches;
-        sum.block_cache_hits += s.block_cache_hits;
-        sum.block_cache_misses += s.block_cache_misses;
-        sum.block_cache_evictions += s.block_cache_evictions;
     }
     sum
 }

@@ -66,8 +66,7 @@ fn shard_session_matches_the_parent_byte_for_byte() {
             (
                 "STATS",
                 "OK 1 STATS docs=2 queries=9 cache_hits=0 cache_misses=5 cache_evictions=0 \
-                 cache_stale_drops=0 shed=0 timeouts=0 batches=1 block_cache_hits=0 \
-                 block_cache_misses=0 block_cache_evictions=0",
+                 cache_stale_drops=0 shed=0 timeouts=0 batches=1",
             ),
         ],
         1u64,
@@ -118,8 +117,7 @@ fn routed_session_matches_the_parent_byte_for_byte() {
             (
                 "STATS",
                 "OK 1,1 STATS docs=2 queries=19 cache_hits=0 cache_misses=6 cache_evictions=0 \
-                 cache_stale_drops=0 shed=0 timeouts=0 batches=2 block_cache_hits=0 \
-                 block_cache_misses=0 block_cache_evictions=0",
+                 cache_stale_drops=0 shed=0 timeouts=0 batches=2",
             ),
         ],
         vec![1u64, 1],

@@ -496,7 +496,6 @@ impl DurableSegmentedIndex {
                 self.manifest.peek_next_id(),
                 plan.output_level,
                 self.l0.inner().array(),
-                self.l0.inner().block_cache(),
             )?;
             let meta = writer.finish(self.l0.inner_mut().sidecar_array())?;
             self.bytes_written += meta.blocks() * self.l0.inner().array().block_size() as u64;
@@ -557,8 +556,7 @@ impl DurableSegmentedIndex {
     pub fn postings(&self, word: WordId) -> Result<PostingList> {
         let mut list = self.l0.postings(word)?;
         for seg in &self.manifest.segments {
-            let mut run =
-                format::read_term(seg, self.l0.inner().array(), self.l0.inner().block_cache(), word)?;
+            let mut run = format::read_term(seg, self.l0.inner().array(), word)?;
             if run.is_empty() {
                 continue;
             }

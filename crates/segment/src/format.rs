@@ -24,12 +24,11 @@
 //! The stream is padded to a whole number of blocks and written through
 //! [`invidx_disk::DiskArray`] extents tagged [`Payload::Segment`], so
 //! segment I/O shows up in Figure-6 traces and is charged to the same
-//! simulated disks as every other structure. Reads go through the shared
-//! block cache with the same pin-scope discipline as long-list chunks.
+//! simulated disks as every other structure.
 
 use crate::error::{Result, SegmentError};
 use invidx_core::codec as pcodec;
-use invidx_core::{BlockCache, DocId, PostingList, PostingsCodec, WordId};
+use invidx_core::{DocId, PostingList, PostingsCodec, WordId};
 use invidx_disk::{DiskArray, IoOp, OpKind, Payload};
 use invidx_durable::crc32;
 
@@ -338,19 +337,13 @@ fn alloc_somewhere(array: &mut DiskArray, blocks: u64) -> Result<(u16, u64)> {
     )))
 }
 
-/// Read one word's postings from a sealed segment, going through the
-/// block cache with the same pin-scope discipline as long-list reads.
-/// Returns an empty list when the segment has no run for the word.
-pub fn read_term(
-    meta: &SegmentMeta,
-    array: &DiskArray,
-    cache: Option<&BlockCache>,
-    word: WordId,
-) -> Result<PostingList> {
+/// Read one word's postings from a sealed segment. Returns an empty list
+/// when the segment has no run for the word.
+pub fn read_term(meta: &SegmentMeta, array: &DiskArray, word: WordId) -> Result<PostingList> {
     let Some(entry) = meta.find(word) else {
         return Ok(PostingList::new());
     };
-    let bytes = read_range(meta, array, cache, entry.offset, entry.bytes as u64)?;
+    let bytes = read_range(meta, array, entry.offset, entry.bytes as u64)?;
     let docs = if meta.codec.is_compressed() {
         pcodec::decode_stream(&bytes, entry.postings as u64)
             .map_err(|e| SegmentError::Corrupt(format!("segment {}: {e}", meta.id)))?
@@ -371,17 +364,10 @@ pub fn read_term(
 }
 
 /// Read `len` bytes of the logical stream starting at `offset`, walking
-/// the extent list and charging block-granular reads to the cache/array.
-pub fn read_range(
-    meta: &SegmentMeta,
-    array: &DiskArray,
-    cache: Option<&BlockCache>,
-    offset: u64,
-    len: u64,
-) -> Result<Vec<u8>> {
+/// the extent list and charging block-granular reads to the array.
+pub fn read_range(meta: &SegmentMeta, array: &DiskArray, offset: u64, len: u64) -> Result<Vec<u8>> {
     let bs = array.block_size() as u64;
     let mut out = Vec::with_capacity(len as usize);
-    let mut guard = cache.map(|c| c.pin_scope());
     let (mut remaining, mut pos) = (len, offset);
     let mut ext_base = 0u64; // logical byte offset where the extent starts
     for e in &meta.extents {
@@ -400,34 +386,15 @@ pub fn read_range(
         let blk1 = (local + take).div_ceil(bs);
         let nblocks = blk1 - blk0;
         let mut buf = vec![0u8; (nblocks * bs) as usize];
-        let cached = {
-            let _stage = invidx_obs::trace::stage("block_cache");
-            invidx_obs::trace::add_blocks(nblocks);
-            let hit = match (cache, guard.as_mut()) {
-                (Some(cache), Some(g)) => {
-                    cache.read_pinned(e.disk, e.start + blk0, nblocks, &mut buf, g)
-                }
-                _ => false,
-            };
-            if hit {
-                invidx_obs::trace::add_bytes(buf.len() as u64);
-            }
-            hit
+        let op = IoOp {
+            kind: OpKind::Read,
+            disk: e.disk,
+            start: e.start + blk0,
+            blocks: nblocks,
+            payload: Payload::Segment { segment: meta.id },
         };
-        if !cached {
-            let op = IoOp {
-                kind: OpKind::Read,
-                disk: e.disk,
-                start: e.start + blk0,
-                blocks: nblocks,
-                payload: Payload::Segment { segment: meta.id },
-            };
-            array.read_op(op, &mut buf)?;
-            invidx_obs::counter!(invidx_obs::names::SEGMENT_READ_OPS).inc();
-            if let (Some(cache), Some(g)) = (cache, guard.as_mut()) {
-                cache.insert_pinned(e.disk, e.start + blk0, nblocks, &buf, g);
-            }
-        }
+        array.read_op(op, &mut buf)?;
+        invidx_obs::counter!(invidx_obs::names::SEGMENT_READ_OPS).inc();
         let lo = (local - blk0 * bs) as usize;
         out.extend_from_slice(&buf[lo..lo + take as usize]);
         pos += take;
@@ -447,8 +414,8 @@ pub fn read_range(
 /// manifest's metadata. Used by recovery audits and tests.
 pub fn verify(meta: &SegmentMeta, array: &DiskArray) -> Result<()> {
     let term_bytes = meta.terms.len() as u64 * TERM_ENTRY_LEN as u64;
-    let body = read_range(meta, array, None, 0, meta.data_bytes + term_bytes)?;
-    let footer = read_range(meta, array, None, meta.data_bytes + term_bytes, FOOTER_LEN as u64)?;
+    let body = read_range(meta, array, 0, meta.data_bytes + term_bytes)?;
+    let footer = read_range(meta, array, meta.data_bytes + term_bytes, FOOTER_LEN as u64)?;
     if &footer[0..8] != FOOTER_MAGIC {
         return Err(SegmentError::Corrupt(format!("segment {}: bad footer magic", meta.id)));
     }

@@ -11,8 +11,7 @@
 //!
 //! * [`format`] — the write-once segment artifact: sorted term runs,
 //!   term index, CRC'd footer, block extents on the shared
-//!   [`invidx_disk::DiskArray`] (traced as `Payload::Segment`), reads
-//!   through the shared block cache;
+//!   [`invidx_disk::DiskArray`] (traced as `Payload::Segment`);
 //! * [`manifest`] — the generation-numbered source of truth for the
 //!   live-segment set, persisted by atomic rename at the checkpoint's
 //!   fault points;

@@ -3,7 +3,7 @@
 
 use crate::error::Result;
 use crate::format::{self, SegmentMeta, SegmentWriter};
-use invidx_core::{BlockCache, DualIndex, PostingList, WordId};
+use invidx_core::{DualIndex, PostingList, WordId};
 use invidx_disk::DiskArray;
 use std::collections::BTreeMap;
 
@@ -73,12 +73,11 @@ pub(crate) fn merge_writer(
     id: u64,
     output_level: u32,
     array: &DiskArray,
-    cache: Option<&BlockCache>,
 ) -> Result<SegmentWriter> {
     let mut map: BTreeMap<WordId, PostingList> = BTreeMap::new();
     for m in inputs {
         for t in &m.terms {
-            let run = format::read_term(m, array, cache, t.word)?;
+            let run = format::read_term(m, array, t.word)?;
             match map.entry(t.word) {
                 std::collections::btree_map::Entry::Vacant(v) => {
                     v.insert(run);

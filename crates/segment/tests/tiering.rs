@@ -118,24 +118,6 @@ fn segment_io_is_traced_with_segment_payload() {
 }
 
 #[test]
-fn sealed_reads_go_through_the_block_cache() {
-    let cfg = IndexConfig {
-        cache_blocks: 4096,
-        engine: EngineKind::Segmented { l0_budget: 2048, fanout: 4 },
-        ..IndexConfig::small()
-    };
-    let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 200_000, 256), cfg).unwrap();
-    drive(&mut ix, 1..300, 30);
-    assert!(ix.stats().segments > 0);
-    // First read warms the cache, second must hit.
-    ix.postings(WordId(1)).unwrap();
-    let before = ix.inner().block_cache().unwrap().stats();
-    ix.postings(WordId(1)).unwrap();
-    let after = ix.inner().block_cache().unwrap().stats();
-    assert!(after.hits > before.hits, "repeat sealed read should hit cache");
-}
-
-#[test]
 fn merge_frees_input_extents() {
     let mut ix = DurableSegmentedIndex::without_log(sparse_array(2, 400_000, 256), config(2048, 2)).unwrap();
     ix.set_merge_rate(0);

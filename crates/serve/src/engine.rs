@@ -10,7 +10,6 @@
 //! built without a log is decided below the engine
 //! ([`invidx_durable::DurableIndex`]) and passed through here.
 
-use invidx_core::cache::CacheStats;
 use invidx_core::index::BatchReport;
 use invidx_core::types::DocId;
 use invidx_durable::{DurableIndex, WalRecord};
@@ -31,13 +30,6 @@ pub trait ServeEngine: Send + Sync + 'static {
     /// the checkpoint size otherwise.
     fn checkpoint(&mut self) -> std::result::Result<Option<u64>, String> {
         Ok(None)
-    }
-
-    /// Counters of the engine's block cache, if one is configured
-    /// (`IndexConfig::cache_blocks > 0`). The STATS verb surfaces these so
-    /// operators can see device-read savings next to result-cache hits.
-    fn block_cache_stats(&self) -> Option<CacheStats> {
-        None
     }
 
     /// Bytes of write-ahead log not yet folded into a checkpoint — the
@@ -106,10 +98,6 @@ impl ServeEngine for DurableEngine {
     fn checkpoint(&mut self) -> std::result::Result<Option<u64>, String> {
         let bytes = DurableEngine::checkpoint(self).map_err(|e| e.to_string())?;
         Ok(logged(self).map(|_| bytes))
-    }
-
-    fn block_cache_stats(&self) -> Option<CacheStats> {
-        DurableEngine::cache_stats(self)
     }
 
     fn wal_bytes(&self) -> Option<u64> {

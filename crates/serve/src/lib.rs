@@ -14,7 +14,7 @@
 //! * [`QueryService`] — lock-free reads over copy-on-write epoch
 //!   snapshots: the single writer applies add+flush batches atomically,
 //!   materializes the next immutable engine view off to the side, and
-//!   publishes `(epoch, view, block-cache counters)` as one atomic unit;
+//!   publishes `(epoch, view)` as one atomic unit;
 //!   readers load the current snapshot with no lock and consult a
 //!   per-core sharded epoch-keyed LRU ([`ResultCache`] shards).
 //! * [`Frontend`] — admission control: a bounded work queue with

@@ -319,19 +319,12 @@ pub struct ServeStats {
     pub timeouts: u64,
     /// Batches ingested by the writer.
     pub batches: u64,
-    /// Engine block-cache hits (long-list/bucket reads answered from
-    /// resident blocks; 0 when the engine runs without a block cache).
-    pub block_cache_hits: u64,
-    /// Engine block-cache misses (reads that went to the device).
-    pub block_cache_misses: u64,
-    /// Engine block-cache frame evictions under budget pressure.
-    pub block_cache_evictions: u64,
 }
 
 impl ServeStats {
     /// Every counter under its wire name, in wire order: the one list the
     /// `STATS` rendering, its parser and the router's per-shard sum walk.
-    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 12] {
+    pub fn fields_mut(&mut self) -> [(&'static str, &mut u64); 9] {
         [
             ("docs", &mut self.docs),
             ("queries", &mut self.queries),
@@ -342,9 +335,6 @@ impl ServeStats {
             ("shed", &mut self.shed),
             ("timeouts", &mut self.timeouts),
             ("batches", &mut self.batches),
-            ("block_cache_hits", &mut self.block_cache_hits),
-            ("block_cache_misses", &mut self.block_cache_misses),
-            ("block_cache_evictions", &mut self.block_cache_evictions),
         ]
     }
 }
@@ -789,9 +779,6 @@ mod tests {
                     shed: 5,
                     timeouts: 6,
                     batches: 8,
-                    block_cache_hits: 11,
-                    block_cache_misses: 12,
-                    block_cache_evictions: 13,
                 }),
             },
             Response { epoch: 4, payload: Payload::Pong },

@@ -2,7 +2,7 @@
 //!
 //! Readers never take a lock on the engine. Each request atomically loads
 //! the current [`ServeSnapshot`] — an `Arc` carrying `(epoch, materialized
-//! engine view, block-cache counters)` published as one unit — so the
+//! engine view)` published as one unit — so the
 //! epoch always names exactly the state the result was computed from,
 //! which is what the result cache keys its invalidation on and what the
 //! oracle tests replay against. The writer serializes through one mutex,
@@ -312,12 +312,11 @@ impl<E: ServeEngine> QueryService<E> {
         epoch: u64,
     ) -> Result<Self, ServeError> {
         let view = engine.snapshot(None).map_err(ServeError::Engine)?;
-        let block = engine.block_cache_stats().unwrap_or_default();
         let wal = engine.wal_bytes();
         Ok(Self {
             writer: Mutex::new(engine),
             epoch: EpochCounter::starting_at(epoch),
-            current: Published::new(ServeSnapshot { epoch, view: Arc::new(view), block }),
+            current: Published::new(ServeSnapshot { epoch, view: Arc::new(view) }),
             cache: ShardedCache::new(config.result_cache_capacity),
             counters: ServeCounters::default(),
             telemetry: crate::telemetry::Telemetry::new(&config),
@@ -494,9 +493,8 @@ impl<E: ServeEngine> QueryService<E> {
     /// see as the current epoch. An `incremental` materialization re-reads
     /// only the posting lists dirtied since the last *successful* snapshot
     /// (the engine clears its dirty set only when materialization
-    /// completes) — that is where all block-cache and disk traffic for the
-    /// read path happens now, so the block counters are captured right
-    /// after, as part of the same publication.
+    /// completes) — that is where all disk traffic for the read path
+    /// happens now.
     fn try_publish(
         &self,
         engine: &mut E,
@@ -507,11 +505,10 @@ impl<E: ServeEngine> QueryService<E> {
         let view = engine
             .snapshot(if incremental { Some(&prev.view) } else { None })
             .map_err(ServeError::Engine)?;
-        let block = engine.block_cache_stats().unwrap_or_default();
         if let Some(wal) = engine.wal_bytes() {
             self.last_wal.store(wal, Ordering::Relaxed);
         }
-        self.current.publish(ServeSnapshot { epoch, view: Arc::new(view), block });
+        self.current.publish(ServeSnapshot { epoch, view: Arc::new(view) });
         Ok(())
     }
 
@@ -543,7 +540,7 @@ impl<E: ServeEngine> QueryService<E> {
     /// batch (the old snapshot) or all of it (the new one). Returns the
     /// report and the new epoch. When telemetry samples this ingest, the
     /// batch emits a span tree (`add`/`flush`/`publish`, with the
-    /// block-cache and disk stages nested under `publish`).
+    /// disk stages nested under `publish`).
     pub fn ingest_batch<S: AsRef<str>>(
         &self,
         texts: &[S],
@@ -676,9 +673,6 @@ impl<E: ServeEngine> QueryService<E> {
             shed: self.counters.shed.get(),
             timeouts: self.counters.timeouts.get(),
             batches: self.counters.batches.get(),
-            block_cache_hits: snap.block.hits,
-            block_cache_misses: snap.block.misses,
-            block_cache_evictions: snap.block.evictions,
         }
     }
 }
@@ -691,7 +685,6 @@ fn to_ids(list: &invidx_core::postings::PostingList) -> Vec<u32> {
 mod tests {
     use super::*;
     use invidx_core::index::IndexConfig;
-    use invidx_core::types::DocId;
     use invidx_disk::sparse_array;
     use invidx_ir::DurableEngine;
 
@@ -700,52 +693,6 @@ mod tests {
         let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
         let config = ServeConfig::builder().result_cache_capacity(cache).build().unwrap();
         QueryService::with_config(engine, config).unwrap()
-    }
-
-    /// The STATS payload must carry the engine's block-cache counters —
-    /// a stub engine with known counters proves the plumbing end to end
-    /// (service snapshot → wire render → wire parse).
-    #[test]
-    fn stats_surface_engine_block_cache_counters() {
-        struct Stub;
-        impl ServeEngine for Stub {
-            fn add_document(&mut self, _: &str) -> Result<DocId, String> {
-                Err("unused".into())
-            }
-            fn flush(&mut self) -> Result<invidx_core::index::BatchReport, String> {
-                Err("unused".into())
-            }
-            fn block_cache_stats(&self) -> Option<invidx_core::cache::CacheStats> {
-                Some(invidx_core::cache::CacheStats {
-                    hits: 21,
-                    misses: 8,
-                    evictions: 3,
-                    ..Default::default()
-                })
-            }
-            fn snapshot(
-                &mut self,
-                _: Option<&invidx_ir::EngineSnapshot>,
-            ) -> Result<invidx_ir::EngineSnapshot, String> {
-                Ok(invidx_ir::EngineSnapshot::empty())
-            }
-            fn total_docs(&self) -> u64 {
-                0
-            }
-            fn vocabulary_size(&self) -> usize {
-                0
-            }
-        }
-        let s = QueryService::with_config(Stub, ServeConfig::default()).unwrap();
-        let resp = s.execute(&Request::Stats).unwrap();
-        let Payload::Stats(stats) = resp.payload else { panic!("expected stats") };
-        assert_eq!(
-            (stats.block_cache_hits, stats.block_cache_misses, stats.block_cache_evictions),
-            (21, 8, 3)
-        );
-        let wire = Response { epoch: 0, payload: Payload::Stats(stats) }.to_wire();
-        let parsed = crate::request::parse_response(&wire).unwrap().unwrap();
-        assert_eq!(parsed.payload, Payload::Stats(stats));
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use crate::cache::{Lookup, ResultCache};
 use crate::request::Payload;
-use invidx_core::cache::CacheStats;
 use invidx_ir::EngineSnapshot;
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -39,15 +38,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock, Weak};
 
-/// Everything a reader needs to answer one request coherently: the epoch,
-/// the materialized engine view it names, and the block-cache counters as
-/// of the publish (snapshot queries do no block I/O themselves — all
-/// cache/disk traffic happens at materialization, inside the writer).
+/// Everything a reader needs to answer one request coherently: the epoch
+/// and the materialized engine view it names (snapshot queries do no block
+/// I/O themselves — all disk traffic happens at materialization, inside
+/// the writer).
 #[derive(Debug, Clone)]
 pub(crate) struct ServeSnapshot {
     pub(crate) epoch: u64,
     pub(crate) view: Arc<EngineSnapshot>,
-    pub(crate) block: CacheStats,
 }
 
 /// One link in the publication chain.
@@ -251,11 +249,7 @@ mod tests {
     use super::*;
 
     fn snap(epoch: u64) -> ServeSnapshot {
-        ServeSnapshot {
-            epoch,
-            view: Arc::new(EngineSnapshot::empty()),
-            block: CacheStats::default(),
-        }
+        ServeSnapshot { epoch, view: Arc::new(EngineSnapshot::empty()) }
     }
 
     #[test]

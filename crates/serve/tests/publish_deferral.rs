@@ -12,7 +12,6 @@
 //! surfaces at the next successful publication — the next record, or a
 //! metrics scrape's catch-up.
 
-use invidx_core::cache::CacheStats;
 use invidx_core::index::{BatchReport, IndexConfig};
 use invidx_core::types::DocId;
 use invidx_durable::{DurableOptions, StoreGeometry, WalRecord};
@@ -60,10 +59,6 @@ impl ServeEngine for FlakySnapshots {
 
     fn flush(&mut self) -> Result<BatchReport, String> {
         self.inner.flush().map_err(|e| e.to_string())
-    }
-
-    fn block_cache_stats(&self) -> Option<CacheStats> {
-        self.inner.cache_stats()
     }
 
     fn wal_bytes(&self) -> Option<u64> {

@@ -3,8 +3,8 @@
 //! (queue, cache, engine) are all present and whose top-level stages sum
 //! to within 10% of the measured end-to-end latency (the root `request`
 //! span) — and a sampled ingest must show where the device traffic went,
-//! because under the snapshot read path the block-cache and disk layers
-//! are only touched when the writer materializes the next snapshot.
+//! because under the snapshot read path the disk layer is only touched
+//! when the writer materializes the next snapshot.
 //!
 //! Single `#[test]` on purpose: the event sink is process-global.
 
@@ -85,11 +85,9 @@ fn within(spans: &[Span], mut i: usize, root: usize) -> bool {
 fn sampled_query_yields_decomposed_span_tree() {
     // A corpus where "hot" migrates to a long list (1500 postings ≫ the
     // 40-unit bucket capacity of IndexConfig::small), so the snapshot
-    // materialization reaches the block-cache and disk layers.
-    let mut config = IndexConfig::small();
-    config.cache_blocks = 64;
+    // materialization reaches the disk layer.
     let array = sparse_array(2, 50_000, 256);
-    let engine = DurableEngine::without_log(array, config).unwrap();
+    let engine = DurableEngine::without_log(array, IndexConfig::small()).unwrap();
     // Result cache off so every query exercises the snapshot read path;
     // sample every request (queries and ingests alike).
     let serve = ServeConfig::builder()
@@ -101,7 +99,7 @@ fn sampled_query_yields_decomposed_span_tree() {
     let service = Arc::new(QueryService::with_config(engine, serve).unwrap());
 
     // Sink installed before the ingest: the batch's sampled trace is the
-    // one that carries the block-cache/disk spans now.
+    // one that carries the disk spans now.
     invidx_obs::init_memory_event_sink();
     let docs: Vec<String> = (0..1500).map(|i| format!("hot filler{i}")).collect();
     service.ingest_batch(&docs).unwrap();
@@ -136,20 +134,15 @@ fn sampled_query_yields_decomposed_span_tree() {
         assert_eq!(s.parent, 0, "{name} must be a top-level ingest stage");
     }
     let publish_idx = ispans.iter().position(|s| s.name == "publish").unwrap();
-    for name in ["block_cache", "disk"] {
-        let idx = ispans.iter().position(|s| s.name == name).unwrap_or_else(|| {
-            panic!("stage {name} missing from ingest trace: {ispans:?}")
-        });
-        assert!(within(&ispans, idx, publish_idx), "{name} must nest under publish");
-    }
-    // Per-stage block accounting: materializing the long list moved its
-    // blocks through the cache, and the cold read fell through to disk.
-    let bc_blocks: u64 =
-        ispans.iter().filter(|s| s.name == "block_cache").map(|s| s.blocks).sum();
-    assert!(bc_blocks >= 10, "long list spans many blocks, saw {bc_blocks}");
+    let disk_idx = ispans.iter().position(|s| s.name == "disk").unwrap_or_else(|| {
+        panic!("stage disk missing from ingest trace: {ispans:?}")
+    });
+    assert!(within(&ispans, disk_idx, publish_idx), "disk must nest under publish");
+    // Per-stage block accounting: materializing the long list read its
+    // blocks from the device.
     let disk_blocks: u64 =
         ispans.iter().filter(|s| s.name == "disk").map(|s| s.blocks).sum();
-    assert!(disk_blocks >= 10, "cold materialization must read the device");
+    assert!(disk_blocks >= 10, "long list spans many blocks, saw {disk_blocks}");
     let iexplained: u64 =
         ispans.iter().filter(|s| s.parent == 0).map(|s| s.dur_us).sum();
     assert!(
@@ -158,7 +151,7 @@ fn sampled_query_yields_decomposed_span_tree() {
     );
 
     // --- The query traces: queue/cache/engine decompose the latency;
-    // no block-cache or disk span — the read path never touches either.
+    // no disk span — the read path never touches the device.
     let trace_ids: Vec<u64> = events
         .lines()
         .filter(|l| l.contains("\"kind\":\"trace\""))
@@ -186,10 +179,10 @@ fn sampled_query_yields_decomposed_span_tree() {
             panic!("stage term missing from trace {trace_id}: {spans:?}")
         });
         assert!(within(&spans, term_idx, engine_idx), "term must nest under engine");
-        // Lock-free read path: a query trace that reached the block cache
-        // or the disk model would mean the snapshot leaked device reads.
+        // Lock-free read path: a query trace that reached the disk model
+        // would mean the snapshot leaked device reads.
         assert!(
-            !spans.iter().any(|s| s.name == "block_cache" || s.name == "disk"),
+            !spans.iter().any(|s| s.name == "disk"),
             "query must be served from the snapshot alone: {spans:?}"
         );
 

@@ -338,7 +338,7 @@ mod tests {
         }
         let first_word = stage.store.directory().iter().next().map(|(w, _)| w);
         if let Some(word) = first_word {
-            let list = stage.store.read_list(&stage.array, None, word).unwrap();
+            let list = stage.store.read_list(&stage.array, word).unwrap();
             assert!(!list.is_empty());
         }
     }

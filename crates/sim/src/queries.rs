@@ -186,8 +186,7 @@ pub fn execute(
         }
         // Charge one bucket-region read per distinct bucket touched: the
         // bucket array is striped across disks; bucket i sits at a fixed
-        // offset in its disk's stripe. With a block cache configured the
-        // charge is suppressed when the bucket's blocks are resident.
+        // offset in its disk's stripe.
         for (_, word) in bucket_reads {
             index.charge_bucket_read(word)?;
         }

@@ -42,8 +42,6 @@ struct Conf {
     num_buckets: usize,
     bucket_units: u64,
     block_postings: u64,
-    /// Block-cache budget in device blocks (0 = cache off).
-    cache_blocks: usize,
     /// Ingest worker threads used when a command doesn't override them.
     ingest_threads: usize,
     /// Storage engine: in-place dual-structure or segment-tiered.
@@ -63,7 +61,6 @@ impl Conf {
             num_buckets: 512,
             bucket_units: 400,
             block_postings: 50,
-            cache_blocks: 0,
             ingest_threads: 1,
             engine: EngineKind::InPlace,
             codec: PostingsCodec::Plain,
@@ -77,7 +74,6 @@ impl Conf {
             .block_postings(self.block_postings)
             .policy(self.policy)
             .materialize_buckets(true)
-            .cache_blocks(self.cache_blocks)
             .ingest_threads(self.ingest_threads)
             .engine(self.engine)
             .postings_codec(self.codec)
@@ -96,7 +92,7 @@ impl Conf {
     fn save(&self, dir: &Path) -> std::io::Result<()> {
         let mut text = format!(
             "policy={}\ndisks={}\nblocks={}\nblock_size={}\nnum_buckets={}\n\
-             bucket_units={}\nblock_postings={}\ncache_blocks={}\ningest_threads={}\ncodec={}\n",
+             bucket_units={}\nblock_postings={}\ningest_threads={}\ncodec={}\n",
             self.policy.label(),
             self.disks,
             self.blocks,
@@ -104,7 +100,6 @@ impl Conf {
             self.num_buckets,
             self.bucket_units,
             self.block_postings,
-            self.cache_blocks,
             self.ingest_threads,
             self.codec
         );
@@ -139,9 +134,9 @@ impl Conf {
                 "block_postings" => {
                     conf.block_postings = v.parse().map_err(|e| format!("block_postings: {e}"))?
                 }
-                "cache_blocks" => {
-                    conf.cache_blocks = v.parse().map_err(|e| format!("cache_blocks: {e}"))?
-                }
+                // Retired key: stores made while the block cache existed
+                // still carry it; its value no longer configures anything.
+                "cache_blocks" => {}
                 "ingest_threads" => {
                     conf.ingest_threads = v.parse().map_err(|e| format!("ingest_threads: {e}"))?
                 }
@@ -567,14 +562,6 @@ fn cmd_init(dir: &Path, args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("block-size: {e}"))?;
                 i += 2;
             }
-            "--cache-blocks" => {
-                conf.cache_blocks = args
-                    .get(i + 1)
-                    .ok_or("--cache-blocks needs a value")?
-                    .parse()
-                    .map_err(|e| format!("cache-blocks: {e}"))?;
-                i += 2;
-            }
             "--ingest-threads" => {
                 conf.ingest_threads = args
                     .get(i + 1)
@@ -880,18 +867,6 @@ fn cmd_stats(dir: &Path, metrics: bool) -> Result<(), String> {
         .iter()
         .fold((0u64, 0u64), |(f, t), &(df, dt)| (f + df, t + dt));
     println!("disk usage          {} / {} blocks", total - free, total);
-    match ix.cache_stats() {
-        Some(cs) => {
-            println!("block cache         {} blocks budget", cs.budget_blocks);
-            println!("cache hit rate      {:.2}", cs.hit_rate());
-            println!(
-                "cache hits/misses   {} / {} ({} evictions, {} invalidations)",
-                cs.hits, cs.misses, cs.evictions, cs.invalidations
-            );
-            println!("cache resident      {} B", cs.resident_bytes);
-        }
-        None => println!("block cache         off"),
-    }
     if metrics {
         publish_index_gauges(&engine, &conf);
         println!();
@@ -1114,14 +1089,6 @@ fn cmd_top(addr: &str, args: &[String]) -> Result<(), String> {
             stats.cache_misses,
             stats.cache_evictions,
             stats.cache_stale_drops,
-        );
-        println!(
-            "block cache         {:.1}% hit ({} hits / {} misses, {} evictions, {} B resident)",
-            rate(stats.block_cache_hits, stats.block_cache_misses) * 100.0,
-            stats.block_cache_hits,
-            stats.block_cache_misses,
-            stats.block_cache_evictions,
-            gauge(&snap, "block_cache_bytes_resident"),
         );
         println!(
             "shed / timeouts     {} / {} ({:.2}% shed)",

@@ -57,7 +57,7 @@ fn stats_metrics_and_top_agree_end_to_end() {
     let scratch = Scratch::new("stats");
     let index = scratch.path().join("ix");
     let dir = index.to_str().unwrap();
-    run(&["init", dir, "--disks", "2", "--blocks", "4000", "--cache-blocks", "16"]);
+    run(&["init", dir, "--disks", "2", "--blocks", "4000"]);
     let doc1 = scratch.path().join("doc1.txt");
     let doc2 = scratch.path().join("doc2.txt");
     std::fs::write(&doc1, "the quick brown fox jumps").unwrap();
@@ -146,4 +146,35 @@ fn legacy_layout_is_refused_and_the_error_names_the_fix() {
     let fresh = scratch.path().join("ix2");
     let out = Command::new(BIN).args(["init", fresh.to_str().unwrap(), "--legacy"]).output().unwrap();
     assert!(!out.status.success(), "--legacy is gone");
+}
+
+/// Stores initialised while the CLI still had a block-cache option carry a
+/// `cache_blocks=<n>` line in `invidx.conf`. They must keep opening: the
+/// key is accepted and ignored. The option itself is gone from `init`.
+#[test]
+fn stores_with_the_retired_cache_key_still_open() {
+    let scratch = Scratch::new("retired-key");
+    let index = scratch.path().join("ix");
+    let dir = index.to_str().unwrap();
+    run(&["init", dir, "--disks", "2", "--blocks", "4000"]);
+    let conf = index.join("invidx.conf");
+    let mut text = std::fs::read_to_string(&conf).unwrap();
+    assert!(!text.contains("cache_blocks"), "init must not write the retired key: {text}");
+    text.push_str("cache_blocks=16\n");
+    std::fs::write(&conf, text).unwrap();
+
+    let doc = scratch.path().join("doc.txt");
+    std::fs::write(&doc, "the quick brown fox jumps").unwrap();
+    run(&["add", dir, doc.to_str().unwrap()]);
+    let stats = run(&["stats", dir]);
+    assert!(stats.contains("documents           1"), "{stats}");
+    let hits = run(&["search", dir, "fox"]);
+    assert!(!hits.contains("no matches"), "{hits}");
+
+    let fresh = scratch.path().join("ix2");
+    let out = Command::new(BIN)
+        .args(["init", fresh.to_str().unwrap(), "--cache-blocks", "16"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--cache-blocks is gone");
 }
