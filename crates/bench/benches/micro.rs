@@ -8,7 +8,7 @@ use invidx_core::codec::{self, PostingsCodec};
 use invidx_core::postings::{fixed, varint, PostingList};
 use invidx_core::types::{DocId, WordId};
 use invidx_corpus::lexer;
-use invidx_ir::{rank_exhaustive, rank_seeded, Bm25Params, PostingSource};
+use invidx_ir::{rank, Bm25Params, Weighting};
 use invidx_corpus::zipf::{ZipfRejection, ZipfTable};
 use invidx_disk::{
     coalesce_batch, BuddyAllocator, ExtentAllocator, FitStrategy, FreeList, IoOp, OpKind, Payload,
@@ -97,39 +97,32 @@ fn bench_codec_streams(c: &mut Criterion) {
 }
 
 fn bench_ranked_topk(c: &mut Criterion) {
-    /// Synthetic postings: word `w` holds every `STRIDES[w]`-th doc id.
-    struct Lists(Vec<PostingList>);
-    impl PostingSource for Lists {
-        fn postings(&self, word: WordId) -> invidx_core::types::Result<PostingList> {
-            Ok(self.0[word.0 as usize].clone())
-        }
-    }
+    // Synthetic postings: term `w` holds every `STRIDES[w]`-th doc id.
     const N: u32 = 50_000;
     const STRIDES: [u32; 5] = [2, 7, 31, 131, 997];
-    let lists = Lists(
-        STRIDES
-            .iter()
-            .map(|&s| PostingList::from_sorted((0..N / s).map(|i| DocId(i * s)).collect()))
-            .collect(),
-    );
-    let total: u64 = STRIDES.iter().map(|&s| (N / s) as u64).sum();
-    let terms: Vec<(WordId, f64)> = STRIDES
+    let terms: Vec<(f64, PostingList)> = STRIDES
         .iter()
-        .enumerate()
-        .map(|(w, &s)| (WordId(w as u64), (1.0 + N as f64 / (N / s) as f64).ln()))
+        .map(|&s| {
+            let list = PostingList::from_sorted((0..N / s).map(|i| DocId(i * s)).collect());
+            (rank::idf(N as u64, list.len() as u64), list)
+        })
         .collect();
+    let total: u64 = STRIDES.iter().map(|&s| (N / s) as u64).sum();
     let lens: std::collections::HashMap<DocId, u32> =
         (0..N).map(|d| (DocId(d), 5 + (d * 13) % 37)).collect();
     let avgdl = lens.values().map(|&l| l as u64).sum::<u64>() as f64 / N as f64;
-    let p = Bm25Params::default();
+    let bm25 = Weighting::Bm25 { params: Bm25Params::default(), avgdl };
     let mut g = c.benchmark_group("ranked_topk");
     g.throughput(Throughput::Elements(total));
-    g.bench_function("wand_top10", |b| {
-        b.iter(|| black_box(rank_seeded(&lists, &terms, &lens, avgdl, p, 10).unwrap()))
-    });
-    g.bench_function("exhaustive_top10", |b| {
-        b.iter(|| black_box(rank_exhaustive(&lists, &terms, &lens, avgdl, p, 10).unwrap()))
-    });
+    // RANK rows keep their names; LIKE is the same evaluator under TfIdf.
+    for (verb, weighting) in [("", bm25), ("like_", Weighting::TfIdf)] {
+        g.bench_function(format!("{verb}wand_top10"), |b| {
+            b.iter(|| black_box(rank::wand(&terms, weighting, &lens, 10)))
+        });
+        g.bench_function(format!("{verb}exhaustive_top10"), |b| {
+            b.iter(|| black_box(rank::exhaustive(&terms, weighting, &lens, 10)))
+        });
+    }
     g.finish();
 }
 

@@ -39,8 +39,6 @@
 use crate::boolean::PostingSource;
 use crate::engine::{EngineCore, LiveReader};
 use crate::query::{EngineQuery, QueryOutput};
-use crate::rank::Bm25Params;
-use crate::vector::Hit;
 use invidx_core::index::{
     BatchReport, CompactReport, DualIndex, IndexConfig, RebalanceReport, SweepReport,
 };
@@ -396,27 +394,6 @@ impl DurableEngine {
     /// single writer ingests.
     pub fn execute(&self, query: &EngineQuery) -> invidx_core::Result<QueryOutput> {
         crate::query::execute(&self.reader(), query)
-    }
-
-    /// [`EngineQuery::Rank`] without early termination — the brute-force
-    /// reference implementation tests and the ablation gate certify WAND
-    /// against.
-    pub fn rank_exhaustive(
-        &self,
-        text: &str,
-        k: usize,
-        params: Bm25Params,
-    ) -> invidx_core::Result<Vec<Hit>> {
-        let ctx = self.reader();
-        crate::rank::rank_like_exhaustive(
-            &ctx,
-            &crate::query::text_words(&ctx, text),
-            self.core.total_docs,
-            &self.core.doc_lengths,
-            self.core.avgdl(),
-            params,
-            k,
-        )
     }
 
     // ----- replication -----

@@ -69,11 +69,6 @@ impl EngineCore {
         self.total_tokens += len as u64;
     }
 
-    /// Corpus average document length (see [`crate::rank::avgdl`]).
-    pub(crate) fn avgdl(&self) -> f64 {
-        crate::rank::avgdl(self.total_tokens, self.total_docs)
-    }
-
     /// Intern a word (lowercased by the caller/lexer).
     pub(crate) fn intern(&mut self, word: &str) -> WordId {
         if let Some(&id) = self.vocab.get(word) {

@@ -4,8 +4,10 @@
 //! boolean systems ("(cat and dog) or mouse") evaluated by merging sorted
 //! inverted lists, and vector-model systems that "locate documents that
 //! maximize the weighted sum of occurring words", using inverted lists to
-//! prune candidates. This crate provides both, plus [`DurableEngine`] — a
-//! complete text-in/results-out engine combining the corpus lexer, a word
+//! prune candidates. This crate provides both — the vector model as one
+//! ranked evaluator, [`rank::wand`], under a TF-IDF (`LIKE`) or BM25
+//! (`RANK`) [`Weighting`] — plus [`DurableEngine`], a complete
+//! text-in/results-out engine combining the corpus lexer, a word
 //! interner, and the one store ([`invidx_segment::DurableSegmentedIndex`]:
 //! the paper's [`invidx_core::DualIndex`] as L0, plus sealed segments when
 //! the configuration gives it a seal budget), crash-safe when built in a
@@ -28,12 +30,10 @@ pub mod proximity;
 pub mod query;
 pub mod rank;
 pub mod snapshot;
-pub mod vector;
 
 pub use boolean::{PostingSource, Query};
 pub use docstore::DocStore;
 pub use durable_engine::DurableEngine;
 pub use query::{EngineQuery, QueryOutput};
-pub use rank::{rank_exhaustive, rank_like, rank_seeded, Bm25Params};
+pub use rank::{Bm25Params, Hit, Weighting};
 pub use snapshot::EngineSnapshot;
-pub use vector::{search, search_like, search_seeded, Hit, VectorQuery};

@@ -13,8 +13,7 @@
 
 use crate::boolean::{PostingSource, Query};
 use crate::engine::{filter_phrase, filter_within, parse_query_with};
-use crate::rank::Bm25Params;
-use crate::vector::Hit;
+use crate::rank::{Bm25Params, Hit, Weighting};
 use invidx_core::postings::PostingList;
 use invidx_core::types::{DocId, Result, WordId};
 use invidx_corpus::lexer;
@@ -37,14 +36,16 @@ pub enum EngineQuery {
         /// Maximum token distance between the two.
         window: u32,
     },
-    /// Vector-space LIKE: tf·idf overlap with a query document text.
+    /// Vector-space LIKE: tf·idf overlap with a query document text
+    /// ([`Weighting::TfIdf`] over local idf weights).
     Like {
         /// Query document text.
         text: String,
         /// Result budget.
         k: usize,
     },
-    /// BM25 ranked top-k over a query document text, WAND-pruned.
+    /// BM25 ranked top-k over a query document text ([`Weighting::Bm25`]
+    /// over local idf weights and the corpus avgdl).
     Rank {
         /// Query document text.
         text: String,
@@ -53,25 +54,18 @@ pub enum EngineQuery {
         /// BM25 tuning parameters.
         params: Bm25Params,
     },
-    /// LIKE with caller-supplied per-term contributions in slice order
-    /// (the router's distributed second phase).
-    WeightedLike {
-        /// `(term, contribution)` in canonical order.
+    /// Caller-supplied per-term weights in slice order under either
+    /// weighting — the router's distributed second phase (`WLIKE` ships
+    /// corpus-global idf with [`Weighting::TfIdf`], `WRANK` adds the
+    /// global avgdl with [`Weighting::Bm25`]). Weights must be finite
+    /// and BM25's parameters in range, or `execute` refuses the query.
+    Weighted {
+        /// `(term, weight)` in canonical order; duplicates accumulate.
         terms: Vec<(String, f64)>,
         /// Result budget.
         k: usize,
-    },
-    /// BM25 with caller-supplied idf weights and corpus-global avgdl
-    /// (the router's distributed second phase).
-    WeightedRank {
-        /// `(term, idf)` in canonical order.
-        terms: Vec<(String, f64)>,
-        /// Result budget.
-        k: usize,
-        /// BM25 tuning parameters.
-        params: Bm25Params,
-        /// Corpus-global average document length.
-        avgdl: f64,
+        /// How a weight becomes a document's contribution.
+        weighting: Weighting,
     },
     /// Document frequency per term plus corpus counters (the router's
     /// distributed first phase).
@@ -113,7 +107,7 @@ impl EngineQuery {
 pub enum QueryOutput {
     /// Matching documents (`Boolean`, `Phrase`, `Near`).
     Docs(PostingList),
-    /// Scored hits, best first (`Like`, `Rank`, `Weighted*`).
+    /// Scored hits, best first (`Like`, `Rank`, `Weighted`).
     Hits(Vec<Hit>),
     /// Corpus counters and per-term document frequencies (`Dfs`).
     Dfs {
@@ -178,37 +172,23 @@ pub(crate) fn execute<C: ReadContext>(ctx: &C, query: &EngineQuery) -> Result<Qu
         }
         EngineQuery::Phrase(text) => QueryOutput::Docs(eval_phrase(ctx, text)?),
         EngineQuery::Near { w1, w2, window } => QueryOutput::Docs(eval_near(ctx, w1, w2, *window)?),
-        // Terms run in the lexer's canonical (sorted, deduplicated) order,
-        // so LIKE and RANK scores are bit-exact across runs and across
+        // Every ranked verb is one WAND run over `(weight, list)` terms.
+        // Text terms run in the lexer's canonical (sorted, deduplicated)
+        // order, so scores are bit-exact across runs and across
         // deployments: an unsharded engine and a sharded router computing
         // the same global weights produce identical f64 scores.
-        EngineQuery::Like { text, k } => QueryOutput::Hits(crate::vector::search_like(
-            ctx,
-            &text_words(ctx, text),
-            ctx.total_docs(),
-            *k,
-        )?),
-        EngineQuery::Rank { text, k, params } => QueryOutput::Hits(crate::rank::rank_like(
-            ctx,
-            &text_words(ctx, text),
-            ctx.total_docs(),
-            ctx.doc_lengths(),
-            crate::rank::avgdl(ctx.total_tokens(), ctx.total_docs()),
-            *params,
-            *k,
-        )?),
-        EngineQuery::WeightedLike { terms, k } => {
-            QueryOutput::Hits(crate::vector::search_seeded(ctx, &seeded(ctx, terms), *k)?)
+        EngineQuery::Like { text, k } => ranked(ctx, text_terms(ctx, text)?, Weighting::TfIdf, *k),
+        EngineQuery::Rank { text, k, params } => {
+            let avgdl = crate::rank::avgdl(ctx.total_tokens(), ctx.total_docs());
+            let weighting = Weighting::Bm25 { params: *params, avgdl };
+            weighting.check(&[])?;
+            ranked(ctx, text_terms(ctx, text)?, weighting, *k)
         }
-        EngineQuery::WeightedRank { terms, k, params, avgdl } => {
-            QueryOutput::Hits(crate::rank::rank_seeded(
-                ctx,
-                &seeded(ctx, terms),
-                ctx.doc_lengths(),
-                *avgdl,
-                *params,
-                *k,
-            )?)
+        EngineQuery::Weighted { terms, k, weighting } => {
+            // Refused before any word is resolved, so every shard answers
+            // the same request alike, whatever its vocabulary.
+            weighting.check(terms)?;
+            ranked(ctx, weighted_terms(ctx, terms)?, *weighting, *k)
         }
         EngineQuery::Dfs(terms) => QueryOutput::Dfs {
             docs: ctx.total_docs(),
@@ -227,18 +207,49 @@ fn word_id<C: ReadContext>(ctx: &C, word: &str) -> Option<WordId> {
     ctx.vocab().get(&word.to_ascii_lowercase()).copied()
 }
 
-/// The known words of a query document text, in the lexer's canonical
-/// order (the paper's "a query may be derived from a document" — §5.2.1).
-pub(crate) fn text_words<C: ReadContext>(ctx: &C, text: &str) -> Vec<WordId> {
-    lexer::document_words(text).iter().filter_map(|w| ctx.vocab().get(w).copied()).collect()
+/// The known words of a query document text (the paper's "a query may
+/// be derived from a document" — §5.2.1) with their local idf and
+/// postings, in the lexer's canonical order. Empty lists contribute
+/// nothing and are dropped.
+fn text_terms<C: ReadContext>(ctx: &C, text: &str) -> Result<Vec<(f64, PostingList)>> {
+    let mut terms = Vec::new();
+    for word in lexer::document_words(text).iter().filter_map(|w| ctx.vocab().get(w).copied()) {
+        let list = ctx.postings(word)?;
+        if !list.is_empty() {
+            terms.push((crate::rank::idf(ctx.total_docs(), list.len() as u64), list));
+        }
+    }
+    Ok(terms)
 }
 
 /// Resolve caller-weighted terms, keeping slice order (the router ships
 /// corpus-global idf weights in canonical sorted-term order). Unknown
-/// words are skipped — they have no local postings, so they contribute
-/// nothing anyway.
-fn seeded<C: ReadContext>(ctx: &C, terms: &[(String, f64)]) -> Vec<(WordId, f64)> {
-    terms.iter().filter_map(|(t, w)| word_id(ctx, t).map(|id| (id, *w))).collect()
+/// words and empty lists are skipped — they have no local postings, so
+/// they contribute nothing anyway.
+fn weighted_terms<C: ReadContext>(
+    ctx: &C,
+    terms: &[(String, f64)],
+) -> Result<Vec<(f64, PostingList)>> {
+    let mut out = Vec::with_capacity(terms.len());
+    for (term, weight) in terms {
+        if let Some(word) = word_id(ctx, term) {
+            let list = ctx.postings(word)?;
+            if !list.is_empty() {
+                out.push((*weight, list));
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Run the one ranked evaluator over resolved terms.
+fn ranked<C: ReadContext>(
+    ctx: &C,
+    terms: Vec<(f64, PostingList)>,
+    weighting: Weighting,
+    k: usize,
+) -> QueryOutput {
+    QueryOutput::Hits(crate::rank::wand(&terms, weighting, ctx.doc_lengths(), k))
 }
 
 /// Proximity query (paper §1: "requiring that 'cat' and 'dog' occur

@@ -196,7 +196,7 @@ pub(crate) fn materialize<S: PostingSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::Bm25Params;
+    use crate::rank::{Bm25Params, Weighting};
     use crate::DurableEngine;
     use invidx_core::index::{EngineKind, IndexConfig};
     use invidx_disk::sparse_array;
@@ -224,8 +224,11 @@ mod tests {
     /// has no wildcard arm and each arm supplies the next variant's
     /// cases, so a new variant does not compile until it joins the table.
     fn table() -> Vec<EngineQuery> {
+        // A negative weight and a duplicate term, each scored in order.
         let weighted: Vec<(String, f64)> =
-            [("shared", 0.5), ("dog", 2.0), ("zebra", 1.0)].map(|(t, w)| (t.to_string(), w)).into();
+            [("shared", 0.5), ("dog", 2.0), ("zebra", 1.0), ("mouse", -0.75), ("dog", 0.25)]
+                .map(|(t, w)| (t.to_string(), w))
+                .into();
         let params = Bm25Params::default();
         let mut table: Vec<EngineQuery> =
             ["shared", "cat and dog", "(cat and dog) or mouse", "shared and not cat", "w3 or w10", "nonexistent"]
@@ -256,16 +259,14 @@ mod tests {
                         params: Bm25Params { k1: 0.9, b: 0.4 },
                     },
                 ],
-                EngineQuery::Rank { .. } => {
-                    vec![EngineQuery::WeightedLike { terms: weighted.clone(), k: 5 }]
-                }
-                EngineQuery::WeightedLike { .. } => vec![EngineQuery::WeightedRank {
-                    terms: weighted.clone(),
-                    k: 5,
-                    params,
-                    avgdl: 9.25,
-                }],
-                EngineQuery::WeightedRank { .. } => {
+                EngineQuery::Rank { .. } => [
+                    Weighting::TfIdf,
+                    Weighting::Bm25 { params, avgdl: 9.25 },
+                    Weighting::Bm25 { params: Bm25Params { k1: 0.0, b: 1.0 }, avgdl: 0.5 },
+                ]
+                .map(|weighting| EngineQuery::Weighted { terms: weighted.clone(), k: 5, weighting })
+                .into(),
+                EngineQuery::Weighted { .. } => {
                     vec![EngineQuery::Dfs(["shared", "Cat", "zebra"].map(String::from).into())]
                 }
                 EngineQuery::Dfs(_) => [1u32, 2, 7, 26, 999].map(|d| EngineQuery::Doc(DocId(d))).into(),

@@ -6,7 +6,6 @@
 use invidx_core::postings::PostingList;
 use invidx_core::types::{DocId, Result, WordId};
 use invidx_ir::boolean::{PostingSource, Query};
-use invidx_ir::vector::{search, VectorQuery};
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 
@@ -105,35 +104,54 @@ proptest! {
     }
 
     #[test]
-    fn vector_scores_are_monotone_in_matches(source in arb_source(), k in 1usize..20) {
+    fn vector_scores_are_monotone_in_matches(
+        docs in prop::collection::vec(
+            prop::collection::btree_set(0usize..LIKE_VOCAB.len(), 0..6),
+            1..40,
+        ),
+        k in 1usize..20,
+    ) {
         // Every returned hit's score equals the sum of idf contributions of
-        // the terms whose lists contain it — verified by recomputation.
-        let words: Vec<WordId> = source.0.keys().map(|&w| WordId(w)).collect();
-        if words.is_empty() {
-            return Ok(());
+        // the query words its document contains — verified by
+        // recomputation from the texts.
+        let texts: Vec<String> = docs
+            .iter()
+            .map(|d| d.iter().map(|&i| LIKE_VOCAB[i]).collect::<Vec<_>>().join(" "))
+            .collect();
+        let mut e = DurableEngine::without_log(sparse_array(2, 40_000, 256), IndexConfig::small())
+            .expect("engine");
+        for text in &texts {
+            e.add_document(text).expect("add");
         }
-        let q = VectorQuery::from_words(words.clone());
-        let total_docs = 50u64;
-        let src = source.clone();
-        let hits = search(&src, &q, total_docs, k).expect("search");
+        e.flush().expect("flush");
+        let total_docs = texts.len() as f64;
+        let out = e.execute(&EngineQuery::like(&LIKE_VOCAB.join(" "), k)).expect("like");
+        let hits = out.hits().expect("hits output");
         prop_assert!(hits.len() <= k);
         // Scores are non-increasing.
         for w in hits.windows(2) {
             prop_assert!(w[0].score >= w[1].score - 1e-12);
         }
-        for h in &hits {
+        for h in hits {
             let mut expect = 0.0;
-            for w in &words {
-                if let Some(docs) = source.0.get(&w.0) {
-                    if !docs.is_empty() && docs.contains(&h.doc.0) {
-                        expect += (1.0 + total_docs as f64 / docs.len() as f64).ln();
-                    }
-                }
+            for i in &docs[h.doc.0 as usize - 1] {
+                let df = docs.iter().filter(|d| d.contains(i)).count() as f64;
+                expect += (1.0 + total_docs / df).ln();
             }
-            prop_assert!((h.score - expect).abs() < 1e-9, "doc {} score {} vs {}", h.doc, h.score, expect);
+            prop_assert!(
+                (h.score - expect).abs() < 1e-9,
+                "doc {} score {} vs {}",
+                h.doc,
+                h.score,
+                expect
+            );
         }
     }
 }
+
+/// Words for the LIKE property: alphabetic, so the lexer keeps them.
+const LIKE_VOCAB: &[&str] =
+    &["amber", "basil", "cedar", "dune", "ember", "fjord", "grove", "heath"];
 
 // ----- parser round trip on generated query strings -----
 

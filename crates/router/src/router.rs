@@ -472,12 +472,9 @@ impl<E: ServeEngine> Router<E> {
                 .iter()
                 .zip(&dfs)
                 .filter(|(_, &df)| df > 0)
-                .map(|(word, &df)| {
-                    // The same expression, operation for operation, as the
-                    // local scorer's idf — bit-exact is the whole point.
-                    let weight = (1.0 + total_docs as f64 / df as f64).ln();
-                    (word.clone(), weight.to_bits())
-                })
+                // The local scorer's own idf function — bit-exact is the
+                // whole point.
+                .map(|(word, &df)| (word.clone(), invidx_ir::rank::idf(total_docs, df).to_bits()))
                 .collect();
             if terms.is_empty() {
                 return Ok(RoutedResponse { epochs: df_epochs, payload: Payload::Hits(vec![]) });

@@ -17,7 +17,7 @@
 
 use crate::error::ServeError;
 use invidx_core::types::DocId;
-use invidx_ir::{Bm25Params, EngineQuery};
+use invidx_ir::{Bm25Params, EngineQuery, Weighting};
 
 /// A read request, executed by the reader pool under the shared lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,19 +152,16 @@ impl Request {
             Self::Rank(k, text) => EngineQuery::Rank { text: text.clone(), k: *k, params: bm25 },
             Self::Df(terms) => EngineQuery::Dfs(terms.clone()),
             Self::WeightedLike(k, terms) => {
-                EngineQuery::WeightedLike { terms: decode(terms), k: *k }
+                EngineQuery::Weighted { terms: decode(terms), k: *k, weighting: Weighting::TfIdf }
             }
-            Self::WeightedRank { k, k1_bits, b_bits, avgdl_bits, terms } => {
-                EngineQuery::WeightedRank {
-                    terms: decode(terms),
-                    k: *k,
-                    params: Bm25Params {
-                        k1: f64::from_bits(*k1_bits),
-                        b: f64::from_bits(*b_bits),
-                    },
+            Self::WeightedRank { k, k1_bits, b_bits, avgdl_bits, terms } => EngineQuery::Weighted {
+                terms: decode(terms),
+                k: *k,
+                weighting: Weighting::Bm25 {
+                    params: Bm25Params { k1: f64::from_bits(*k1_bits), b: f64::from_bits(*b_bits) },
                     avgdl: f64::from_bits(*avgdl_bits),
-                }
-            }
+                },
+            },
             Self::Doc(id) => EngineQuery::Doc(DocId(*id)),
             Self::Stats | Self::Ping => return None,
         })

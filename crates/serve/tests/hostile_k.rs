@@ -1,5 +1,5 @@
-//! Regression: a result budget `k` chosen by the client must never size
-//! an allocation.
+//! Regression: what a client puts on the wire must neither size an
+//! allocation nor break the ranked evaluator.
 //!
 //! `LIKE`, `WLIKE` and `WRANK` take `k` off the socket with no ceiling
 //! (only `RANK` is checked against `MAX_RANK_K`). The top-k heaps used to
@@ -8,6 +8,13 @@
 //! `LIKE 18446744073709551615 cat` overflowed `k + 1`. Both must now get
 //! the answer any `k` larger than the corpus gets, and leave every reader
 //! thread alive.
+//!
+//! `WLIKE`/`WRANK` also take their weights and BM25 parameters as raw
+//! `f64` bits. WAND's per-term bound is sound for any finite weight (a
+//! negative one bounds at 0), and for BM25 only with `k1 ≥ 0`,
+//! `b ∈ [0, 1]` and a positive `avgdl`: a negative weight must get the
+//! exhaustive scorer's answer, and the rest must be refused with a typed
+//! `badrequest`.
 
 use invidx_core::index::IndexConfig;
 use invidx_disk::sparse_array;
@@ -33,6 +40,34 @@ fn service() -> Arc<QueryService<DurableEngine>> {
         .ingest_batch(&["the cat sat on the mat", "the dog chased the cat", "a mouse ran away"])
         .unwrap();
     Arc::new(service)
+}
+
+/// `WRANK 10` over `cat:-3 dog:2 mouse:1` with the given `(k1, b, avgdl)`.
+fn wrank(k1: f64, b: f64, avgdl: f64, k: usize) -> Request {
+    let terms = [("cat", -3.0f64), ("dog", 2.0), ("mouse", 1.0)];
+    Request::WeightedRank {
+        k,
+        k1_bits: k1.to_bits(),
+        b_bits: b.to_bits(),
+        avgdl_bits: avgdl.to_bits(),
+        terms: terms.iter().map(|(t, w)| (t.to_string(), w.to_bits())).collect(),
+    }
+}
+
+/// Requests WAND cannot answer soundly, each refused as a bad request.
+fn unsound() -> Vec<Request> {
+    let weight = |w: f64| vec![("cat".to_string(), w.to_bits())];
+    vec![
+        wrank(1.2, -2.0, 5.0, 2),
+        wrank(1.2, 0.75, -9.0, 2),
+        wrank(1.2, 1.5, 5.0, 2),
+        wrank(-1.0, 0.75, 5.0, 2),
+        wrank(1.2, 0.75, 0.0, 2),
+        wrank(f64::NAN, 0.75, 5.0, 2),
+        Request::WeightedLike(2, weight(f64::NAN)),
+        Request::WeightedLike(2, weight(f64::INFINITY)),
+        Request::WeightedLike(2, weight(f64::NEG_INFINITY)),
+    ]
 }
 
 /// The three verbs whose `k` is unchecked, with a given `k`.
@@ -73,8 +108,13 @@ fn huge_k_gets_the_ordinary_answer_and_every_reader_survives() {
         assert_eq!(err.code(), "badrequest");
     }
 
-    // Every reader is still there: with the read path stalled, READERS
-    // jobs leave the queue only if READERS threads each take one.
+    assert_readers_alive(&service, &frontend);
+    frontend.shutdown();
+}
+
+/// Every reader is still there: with the read path stalled, READERS jobs
+/// leave the queue only if READERS threads each take one.
+fn assert_readers_alive(service: &QueryService<DurableEngine>, frontend: &Frontend<DurableEngine>) {
     let mut tickets = Vec::new();
     service.with_blocked_writer(|| {
         for _ in 0..READERS {
@@ -89,6 +129,46 @@ fn huge_k_gets_the_ordinary_answer_and_every_reader_survives() {
     for ticket in tickets {
         assert_eq!(ticket.wait().unwrap().payload, Payload::Docs(vec![1, 2]));
     }
+}
+
+#[test]
+fn negative_weights_get_the_exhaustive_answer() {
+    // cat: docs 1, 2; dog: docs 1, 3; mouse: doc 1. Doc 1 scores
+    // -3 + 2 + 1 = 0 and doc 3 scores 2 (with `b = 0` every BM25 factor
+    // is 1): a negative per-term bound used to prune doc 3.
+    let engine =
+        DurableEngine::without_log(sparse_array(2, 50_000, 256), IndexConfig::small()).unwrap();
+    let service = QueryService::with_config(engine, config()).unwrap();
+    service.ingest_batch(&["cat dog mouse", "cat", "dog"]).unwrap();
+    let answer = |r: Request| service.execute(&r).unwrap().payload;
+    assert_eq!(answer(wrank(1.2, 0.0, 5.0, 1)), Payload::Hits(vec![(3, 2.0)]));
+    assert_eq!(answer(wrank(1.2, 0.0, 5.0, 3)), Payload::Hits(vec![(3, 2.0), (1, 0.0), (2, -3.0)]));
+    let Request::WeightedRank { terms, .. } = wrank(1.2, 0.0, 5.0, 1) else { unreachable!() };
+    assert_eq!(answer(Request::WeightedLike(1, terms)), Payload::Hits(vec![(3, 2.0)]));
+}
+
+#[test]
+fn unsound_weights_are_refused_and_every_reader_survives() {
+    let service = service();
+    let frontend = Frontend::start_with(Arc::clone(&service), config());
+    for request in unsound() {
+        let err = service.execute(&request).unwrap_err();
+        assert_eq!(err.code(), "badrequest", "{}: {err}", request.to_wire());
+        let err = frontend.call(request.clone()).unwrap_err();
+        assert_eq!(err.code(), "badrequest", "{}: {err}", request.to_wire());
+    }
+    // And the ordinary requests still get their answers afterwards.
+    for request in requests(10) {
+        assert_eq!(frontend.call(request.clone()).unwrap(), service.execute(&request).unwrap());
+    }
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service), config()).unwrap();
+    let mut client = Client::connect(server.addr(), Duration::from_secs(30)).unwrap();
+    for request in unsound() {
+        let reply = client.line(&request.to_wire()).unwrap();
+        assert!(reply.starts_with("ERR badrequest "), "{} answered {reply:?}", request.to_wire());
+    }
+    server.shutdown();
+    assert_readers_alive(&service, &frontend);
     frontend.shutdown();
 }
 
