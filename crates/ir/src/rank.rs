@@ -499,22 +499,40 @@ mod tests {
     #[test]
     fn empty_inputs_and_unknown_words() {
         let c = ctx();
-        assert!(run(&c, EngineQuery::like("", 5)).is_empty());
-        assert!(run(&c, EngineQuery::like("common", 0)).is_empty());
         assert!(run(&c, EngineQuery::rank("unicorn", 5)).is_empty());
         assert!(wand(&[], Weighting::TfIdf, &c.lens, 5).is_empty());
         assert!(exhaustive(&[], bm25(10.0), &c.lens, 5).is_empty());
         assert!(wand(&[(1.0, PostingList::new())], Weighting::TfIdf, &c.lens, 5).is_empty());
+    }
+
+    #[test]
+    fn empty_query_or_zero_k() {
+        let c = ctx();
+        assert!(run(&c, EngineQuery::like("", 5)).is_empty());
+        assert!(run(&c, EngineQuery::like("common", 0)).is_empty());
+    }
+
+    #[test]
+    fn unknown_words_ignored() {
         // An unknown word contributes nothing, wherever it sits.
-        assert_eq!(
-            bits(&run(&c, EngineQuery::like("unicorn rare", 10))),
-            bits(&run(&c, EngineQuery::like("rare", 10)))
-        );
-        let weighted = |terms: Vec<(&str, f64)>, k| EngineQuery::Weighted {
+        let c = ctx();
+        let hits = run(&c, EngineQuery::like("unicorn rare", 10));
+        assert_eq!(hits.len(), 4);
+        assert_eq!(bits(&hits), bits(&run(&c, EngineQuery::like("rare", 10))));
+        assert_eq!(bits(&hits), bits(&run(&c, EngineQuery::like("rare unicorn", 10))));
+    }
+
+    fn weighted(terms: Vec<(&str, f64)>, k: usize) -> EngineQuery {
+        EngineQuery::Weighted {
             terms: terms.into_iter().map(|(t, w)| (t.to_string(), w)).collect(),
             k,
             weighting: Weighting::TfIdf,
-        };
+        }
+    }
+
+    #[test]
+    fn seeded_search_skips_unknown_and_respects_k() {
+        let c = ctx();
         let hits = run(&c, weighted(vec![("unicorn", 9.0), ("rarest", 1.5)], 10));
         assert_eq!(bits(&hits), [7, 33].map(|d| (DocId(d), 1.5f64.to_bits())));
         assert!(run(&c, weighted(vec![], 10)).is_empty());
@@ -532,8 +550,7 @@ mod tests {
     #[test]
     fn seeded_matches_like_when_weights_agree() {
         // The router's second phase ships `idf(N, df)` per term; scored
-        // under either weighting, the shipped weights must reproduce the
-        // text query's bits.
+        // under BM25, the shipped weights must reproduce RANK's bits.
         let c = ctx();
         let text = "rarest common rare";
         let shipped: Vec<(String, f64)> = ["common", "rare", "rarest"]
@@ -542,16 +559,35 @@ mod tests {
             .collect();
         let avgdl = avgdl(c.total_tokens(), 40);
         let params = Bm25Params::default();
-        for (local, weighting) in [
-            (EngineQuery::like(text, 10), Weighting::TfIdf),
-            (
-                EngineQuery::Rank { text: text.into(), k: 10, params },
-                Weighting::Bm25 { params, avgdl },
-            ),
-        ] {
-            let seeded = EngineQuery::Weighted { terms: shipped.clone(), k: 10, weighting };
-            assert_eq!(bits(&run(&c, local)), bits(&run(&c, seeded)), "{weighting:?}");
-        }
+        let local = EngineQuery::Rank { text: text.into(), k: 10, params };
+        let weighting = Weighting::Bm25 { params, avgdl };
+        let seeded = EngineQuery::Weighted { terms: shipped, k: 10, weighting };
+        assert_eq!(bits(&run(&c, local)), bits(&run(&c, seeded)));
+    }
+
+    #[test]
+    fn seeded_search_matches_local_idf_path() {
+        // LIKE's local idf and the same weights computed by the caller
+        // score bit-identically.
+        let c = ctx();
+        let shipped: Vec<(&str, f64)> = ["common", "rare", "rarest"]
+            .iter()
+            .map(|w| (*w, idf(40, c.lists[&c.vocab[*w]].len() as u64)))
+            .collect();
+        let local = run(&c, EngineQuery::like("common rare rarest", 5));
+        assert_eq!(local.len(), 5);
+        assert_eq!(bits(&local), bits(&run(&c, weighted(shipped, 5))));
+    }
+
+    #[test]
+    fn search_like_is_slice_order_deterministic() {
+        let c = ctx();
+        let a = run(&c, EngineQuery::like("common rare rarest", 10));
+        let b = run(&c, EngineQuery::like("common rare rarest", 10));
+        assert_eq!(bits(&a), bits(&b));
+        // And is the oracle's answer over the same slice, score bits included.
+        let terms = idf_terms(&c, &["common", "rare", "rarest"]);
+        assert_eq!(bits(&a), bits(&exhaustive(&terms, Weighting::TfIdf, &c.lens, 10)));
     }
 
     #[test]
